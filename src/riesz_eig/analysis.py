@@ -9,7 +9,6 @@ projection-error tails for synthetic coefficient sequences.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +59,9 @@ class ConvergenceTable:
     rows: tuple[tuple[int, float, float], ...]  # (N, lambda1, error)
 
 
-def solve_sweep(order: FractionalOrder, n_list, max_workers=None) -> dict[int, EigenSolution]:
-    """Solve a degree sweep, optionally fanning out over a thread pool.
-
-    The grid points are independent jobs over immutable inputs, so the result
-    does not depend on ``max_workers``.
-    """
-    n_list = list(dict.fromkeys(n_list))
-    if max_workers is None or max_workers <= 1 or len(n_list) <= 1:
-        return {n: solve(order, n) for n in n_list}
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(n_list))) as pool:
-        return dict(zip(n_list, pool.map(lambda n: solve(order, n), n_list)))
+def solve_sweep(order: FractionalOrder, n_list) -> dict[int, EigenSolution]:
+    """Solve each distinct degree of ``n_list`` once, in order of first appearance."""
+    return {n: solve(order, n) for n in dict.fromkeys(n_list)}
 
 
 def weyl_ratios(sol: EigenSolution) -> np.ndarray:
@@ -84,19 +75,21 @@ def condition_number(sol: EigenSolution) -> float:
     return float(sol.lambdas[-1] / sol.lambdas[0])
 
 
-def condition_slope(order: FractionalOrder, n_list, max_workers=None) -> float:
+def _loglog_slope(n_list, chis) -> float:
+    """Least-squares slope of ``log chi`` against ``log N``."""
+    return float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
+
+
+def condition_slope(order: FractionalOrder, n_list) -> float:
     """Least-squares slope of log condition number against log degree."""
     n_list = list(n_list)
     if len(n_list) < 3:
         raise ValueError(f"need at least 3 degrees for a slope fit, got {len(n_list)}")
-    sols = solve_sweep(order, n_list, max_workers)
-    chis = [condition_number(sols[n]) for n in n_list]
-    return float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
+    sols = solve_sweep(order, n_list)
+    return _loglog_slope(n_list, [condition_number(sols[n]) for n in n_list])
 
 
-def convergence_table(
-    order: FractionalOrder, n_list, reference_n: int, max_workers=None
-) -> ConvergenceTable:
+def convergence_table(order: FractionalOrder, n_list, reference_n: int) -> ConvergenceTable:
     """Errors of the first eigenvalue over ``n_list`` against the ``reference_n`` solve.
 
     Errors within the double-precision plateau are reported as exact 0.
@@ -106,7 +99,7 @@ def convergence_table(
         raise ValueError(
             f"reference degree {reference_n} must exceed every tabulated degree (max {max(n_list)})"
         )
-    sols = solve_sweep(order, [*n_list, reference_n], max_workers)
+    sols = solve_sweep(order, [*n_list, reference_n])
     lam_ref = sols[reference_n].lambdas[0]
     rows = []
     for n in n_list:

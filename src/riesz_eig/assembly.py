@@ -4,13 +4,16 @@ In the normalized basis the stiffness matrix is the identity, so the discrete
 eigenproblem is carried entirely by the mass matrix.  Entries with odd index
 sum vanish identically (parity), which splits the matrix into independent
 even and odd blocks; for integer ``alpha`` the reciprocal-gamma factors kill
-everything beyond a fixed band as well.
+everything beyond a fixed band as well.  Assembly therefore builds the two
+parity blocks and nothing else; the full matrix is composed from them only
+on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -29,11 +32,10 @@ __all__ = ["MassMatrix", "mass_entry", "assemble_mass", "stiffness_check"]
 
 @dataclass(frozen=True, eq=False)
 class MassMatrix:
-    """Symmetric positive-definite mass matrix with its parity-block view."""
+    """Symmetric positive-definite mass matrix, stored as its two parity blocks."""
 
     order: FractionalOrder
     n_max: int
-    entries: np.ndarray
     even_block: np.ndarray
     odd_block: np.ndarray
 
@@ -44,6 +46,15 @@ class MassMatrix:
     @property
     def odd_indices(self) -> np.ndarray:
         return np.arange(1, self.n_max + 1, 2)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The full ``(n_max+1)^2`` matrix, composed from the blocks (read-only)."""
+        full = np.zeros((self.n_max + 1, self.n_max + 1))
+        full[::2, ::2] = self.even_block
+        full[1::2, 1::2] = self.odd_block
+        full.setflags(write=False)
+        return full
 
 
 def _entry_values(alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -82,32 +93,30 @@ def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     return float(_entry_values(order.alpha, np.array([lo], float), np.array([hi], float))[0])
 
 
-def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
-    """Assemble the full mass matrix and its parity blocks.
+def _parity_block(alpha: float, indices: np.ndarray) -> np.ndarray:
+    """The block of the mass matrix on ``indices`` (all of one parity)."""
+    a, b = np.triu_indices(indices.size)
+    values = _entry_values(alpha, indices[a].astype(float), indices[b].astype(float))
+    block = np.empty((indices.size, indices.size))
+    block[a, b] = values
+    block[b, a] = values
+    block.setflags(write=False)
+    return block
 
-    Each entry is an independent O(1) evaluation; the upper triangle is
-    computed vectorized and mirrored, so the stored matrix is exactly
-    symmetric and its odd-sum entries are exact zeros.
+
+def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
+    """Assemble the even and odd parity blocks of the mass matrix.
+
+    Each entry is an independent O(1) evaluation; the upper triangle of each
+    block is computed vectorized once and mirrored, so the blocks are exactly
+    symmetric.  The odd-sum entries between the blocks are exact zeros and
+    are not stored.
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    idx = np.arange(n_max + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    upper = ((ii + jj) % 2 == 0) & (ii <= jj)
-    i = ii[upper]
-    j = jj[upper]
-    values = _entry_values(order.alpha, i.astype(float), j.astype(float))
-    entries = np.zeros((n_max + 1, n_max + 1))
-    entries[i, j] = values
-    entries[j, i] = values
-
-    ev = np.arange(0, n_max + 1, 2)
-    od = np.arange(1, n_max + 1, 2)
-    even_block = entries[np.ix_(ev, ev)].copy()
-    odd_block = entries[np.ix_(od, od)].copy()
-    for arr in (entries, even_block, odd_block):
-        arr.setflags(write=False)
-    return MassMatrix(order, n_max, entries, even_block, odd_block)
+    even_block = _parity_block(order.alpha, np.arange(0, n_max + 1, 2))
+    odd_block = _parity_block(order.alpha, np.arange(1, n_max + 1, 2))
+    return MassMatrix(order, n_max, even_block, odd_block)
 
 
 def stiffness_check(order: FractionalOrder, n_max: int) -> float:

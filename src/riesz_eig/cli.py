@@ -9,7 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -49,10 +48,8 @@ class RunConfig:
     format: str = "csv"
     indices: list[int] = field(default_factory=list)
     samples: int = 257
-    rel_tol: float = 1.2e-4
     vectors: bool = False
     verify_oracle: bool = False
-    threads: int | None = None
 
 
 def _fmt(x) -> str:
@@ -85,19 +82,6 @@ def _csv(header: list[str], rows: list[list[str]], trailer: str | None = None) -
     if trailer is not None:
         lines.append(trailer)
     return "\n".join(lines) + "\n"
-
-
-def _thread_cap(parser: argparse.ArgumentParser) -> int | None:
-    raw = os.environ.get("RIESZ_EIG_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"RIESZ_EIG_THREADS must be a nonnegative integer, got {raw!r}")
-    if value < 0:
-        parser.error(f"RIESZ_EIG_THREADS must be a nonnegative integer, got {raw!r}")
-    return (os.cpu_count() or 1) if value == 0 else value
 
 
 def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> list[int]:
@@ -153,9 +137,7 @@ def cmd_eig(config: RunConfig) -> None:
 def cmd_convergence(config: RunConfig) -> None:
     """First-eigenvalue errors against a fine reference, one row per degree."""
     order = FractionalOrder(config.two_alpha)
-    table = analysis.convergence_table(
-        order, config.n_list, config.reference_n, max_workers=config.threads
-    )
+    table = analysis.convergence_table(order, config.n_list, config.reference_n)
     rows = [[str(n), _fmt(lam), _fmt(err)] for n, lam, err in table.rows]
     _emit(config, _csv(["N", "lambda1", "error"], rows))
 
@@ -163,12 +145,10 @@ def cmd_convergence(config: RunConfig) -> None:
 def cmd_weyl(config: RunConfig) -> None:
     """Eigenvalues with their growth-law ratios and the reliability flag."""
     order = FractionalOrder(config.two_alpha)
-    sol = solve(order, config.n)
-    ratios = analysis.weyl_ratios(sol)
-    reliable = int(2 * config.n / math.pi)
+    report = analysis.spectrum_report(solve(order, config.n))
     rows = [
-        [str(i + 1), _fmt(lam), _fmt(rho), "true" if i + 1 <= reliable else "false"]
-        for i, (lam, rho) in enumerate(zip(sol.lambdas, ratios))
+        [str(i + 1), _fmt(lam), _fmt(rho), "true" if i + 1 <= report.reliable_count else "false"]
+        for i, (lam, rho) in enumerate(zip(report.lambdas, report.weyl_ratios))
     ]
     _emit(config, _csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows))
 
@@ -176,12 +156,12 @@ def cmd_weyl(config: RunConfig) -> None:
 def cmd_condition(config: RunConfig) -> None:
     """Condition number per degree, with the fitted growth exponent when possible."""
     order = FractionalOrder(config.two_alpha)
-    sols = analysis.solve_sweep(order, config.n_list, max_workers=config.threads)
+    sols = analysis.solve_sweep(order, config.n_list)
     chis = [analysis.condition_number(sols[n]) for n in config.n_list]
     rows = [[str(n), _fmt(chi)] for n, chi in zip(config.n_list, chis)]
     trailer = None
     if len(config.n_list) >= 3:
-        slope = float(np.polyfit(np.log(config.n_list), np.log(chis), 1)[0])
+        slope = analysis._loglog_slope(config.n_list, chis)
         trailer = (
             f'# {{"schema": "{SCHEMA}", "two_alpha": {_fmt(config.two_alpha)}, '
             f'"slope": {_fmt(slope)}}}'
@@ -275,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     config = RunConfig(two_alpha=args.two_alpha, output=args.output)
     _make_order(parser, args.two_alpha)
-    config.threads = _thread_cap(parser)
     if hasattr(args, "n"):
         if args.n < 0:
             parser.error(f"--n must be nonnegative, got {args.n}")

@@ -9,7 +9,6 @@ independently and merged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .specfun import FractionalOrder, JacobiWeightPair, _boundary_weight, _jacob
 __all__ = ["EigenSolution", "sym_eig", "solve", "eval_eigenfunction"]
 
 _SYMMETRY_RTOL = 1e-14
+_PARITIES = ("even", "odd")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,39 +71,40 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     broken even-before-odd and then by within-block position.
     """
     mass = assemble_mass(order, n_max)
-    merged = []
-    for parity_rank, (tag, indices, block) in enumerate(
-        (
-            ("even", mass.even_indices, mass.even_block),
-            ("odd", mass.odd_indices, mass.odd_block),
-        )
-    ):
+    blocks = ((mass.even_indices, mass.even_block), (mass.odd_indices, mass.odd_block))
+    sizes = [indices.size for indices, _ in blocks]
+    lambdas = np.empty(n_max + 1)
+    vectors = np.zeros((n_max + 1, n_max + 1))
+    start = 0
+    for tag, (indices, block) in zip(_PARITIES, blocks):
         if indices.size == 0:
             continue
         mu, vecs = sym_eig(block)
         if mu[0] <= 0.0:
             raise RuntimeError(
-                f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block: "
-                "the matrix must be positive definite, this signals an assembly bug"
+                f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block "
+                f"(N={n_max}, 2a={order.two_alpha:g}): it lies below the rounding level "
+                f"eps*mu_max = {np.finfo(float).eps * mu[-1]:.3e}, so the eigensolver "
+                "has lost the small end of this graded block"
             )
-        # mu ascending -> lambda = 1/mu descending; walk in reverse so the
-        # within-block position counts in ascending-lambda order.
-        for pos, col in enumerate(reversed(range(mu.size))):
-            full = np.zeros(n_max + 1)
-            full[indices] = vecs[:, col] / math.sqrt(mu[col])
-            merged.append((1.0 / mu[col], parity_rank, pos, tag, full))
+        # mu ascending -> lambda = 1/mu descending; reverse so the within-block
+        # position counts in ascending-lambda order.
+        mu, vecs = mu[::-1], vecs[:, ::-1]
+        rows = slice(start, start + mu.size)
+        lambdas[rows] = 1.0 / mu
+        vectors[rows, indices] = (vecs / np.sqrt(mu)).T
+        start += mu.size
 
-    merged.sort(key=lambda item: item[:3])
-    lambdas = np.array([item[0] for item in merged])
-    vectors = np.empty((len(merged), n_max + 1))
-    parities = tuple(item[3] for item in merged)
-    for row, item in enumerate(merged):
-        vec = item[4]
-        if vec[np.argmax(np.abs(vec))] < 0.0:
-            vec = -vec
-        vectors[row] = vec
+    parity_rank = np.repeat([0, 1], sizes)
+    position = np.concatenate([np.arange(size) for size in sizes])
+    perm = np.lexsort((position, parity_rank, lambdas))
+    lambdas, vectors = lambdas[perm], vectors[perm]
+    # deterministic sign: the largest-magnitude coefficient of each row is positive
+    dominant = vectors[np.arange(n_max + 1), np.argmax(np.abs(vectors), axis=1)]
+    vectors[dominant < 0.0] *= -1.0
     lambdas.setflags(write=False)
     vectors.setflags(write=False)
+    parities = tuple(_PARITIES[rank] for rank in parity_rank[perm])
     return EigenSolution(order, n_max, lambdas, vectors, parities)
 
 

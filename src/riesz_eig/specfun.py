@@ -48,6 +48,8 @@ class FractionalOrder:
     def __post_init__(self):
         if not self.two_alpha > 0:
             raise ValueError(f"order must be positive, got {self.two_alpha}")
+        if not math.isfinite(self.two_alpha):
+            raise ValueError(f"order must be finite, got {self.two_alpha}")
 
     @property
     def alpha(self) -> float:

@@ -76,13 +76,6 @@ def test_condition_slope_needs_three_points():
         condition_slope(FractionalOrder(1.6), [32, 64])
 
 
-def test_condition_slope_thread_pool_matches_serial():
-    order = FractionalOrder(1.2)
-    serial = condition_slope(order, [16, 32, 64])
-    threaded = condition_slope(order, [16, 32, 64], max_workers=3)
-    assert serial == threaded
-
-
 def test_convergence_table():
     order = FractionalOrder(1.6)
     table = convergence_table(order, [8, 16, 32], 64)

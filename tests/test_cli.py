@@ -57,6 +57,12 @@ def test_eig_rejects_bad_order(tmp_path):
     assert exc.value.code == 2
 
 
+def test_eig_rejects_infinite_order():
+    with pytest.raises(SystemExit) as exc:
+        run(["eig", "--two-alpha", "inf", "--n", "8"])
+    assert exc.value.code == 2
+
+
 def test_eig_rejects_negative_degree():
     with pytest.raises(SystemExit) as exc:
         run(["eig", "--two-alpha", "1.6", "--n", "-2"])
@@ -211,22 +217,6 @@ def test_stdout_output(capsys):
     assert run(["eig", "--two-alpha", "2.0", "--n", "0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("n,lambda\n")
-
-
-def test_thread_env_var(tmp_path, monkeypatch):
-    out = tmp_path / "cond.csv"
-    monkeypatch.setenv("RIESZ_EIG_THREADS", "2")
-    assert run(["condition", "--two-alpha", "1.2", "--n-list", "8,16,32",
-                "-o", str(out)]) == 0
-    first = read(out)
-    monkeypatch.setenv("RIESZ_EIG_THREADS", "1")
-    assert run(["condition", "--two-alpha", "1.2", "--n-list", "8,16,32",
-                "-o", str(out)]) == 0
-    assert read(out) == first
-    monkeypatch.setenv("RIESZ_EIG_THREADS", "oops")
-    with pytest.raises(SystemExit) as exc:
-        run(["condition", "--two-alpha", "1.2", "--n-list", "8,16", "-o", str(out)])
-    assert exc.value.code == 2
 
 
 def test_no_partial_file_on_failure(tmp_path, monkeypatch):

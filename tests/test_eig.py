@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import riesz_eig.eig
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
 from riesz_eig.specfun import FractionalOrder
@@ -77,6 +78,58 @@ def test_solution_structure():
         # eigen residual, blockwise scale
         resid = mass.entries @ vec - vec / sol.lambdas[row]
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(mass.entries, 2) * np.linalg.norm(vec)
+
+
+def _reference_merge(order, n_max):
+    """Per-eigenpair merge: sort by (lambda, parity, position), then fix signs."""
+    mass = assemble_mass(order, n_max)
+    merged = []
+    blocks = (
+        ("even", mass.even_indices, mass.even_block),
+        ("odd", mass.odd_indices, mass.odd_block),
+    )
+    for rank, (tag, indices, block) in enumerate(blocks):
+        if indices.size == 0:
+            continue
+        mu, vecs = np.linalg.eigh(block)
+        for pos, col in enumerate(reversed(range(mu.size))):
+            full = np.zeros(n_max + 1)
+            full[indices] = vecs[:, col] / math.sqrt(mu[col])
+            merged.append((1.0 / mu[col], rank, pos, tag, full))
+    merged.sort(key=lambda item: item[:3])
+    vectors = []
+    for item in merged:
+        vec = item[4]
+        vectors.append(-vec if vec[np.argmax(np.abs(vec))] < 0.0 else vec)
+    return np.array([item[0] for item in merged]), np.array(vectors), tuple(m[3] for m in merged)
+
+
+@pytest.mark.parametrize("two_alpha", [1.3, 2.0])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 24])
+def test_solve_matches_reference_merge(two_alpha, n_max):
+    order = FractionalOrder(two_alpha)
+    lambdas, vectors, parities = _reference_merge(order, n_max)
+    sol = solve(order, n_max)
+    np.testing.assert_array_equal(sol.lambdas, lambdas)
+    np.testing.assert_array_equal(sol.vectors, vectors)
+    # flipped rows carry -0.0 off their parity, and the CLI prints it as "-0"
+    np.testing.assert_array_equal(np.signbit(sol.vectors), np.signbit(vectors))
+    assert sol.parities == parities
+
+
+def test_solve_names_lost_small_end(monkeypatch):
+    def sym_eig_losing_small_end(block):
+        values, vectors = sym_eig(block)
+        values[0] = -1e-21
+        return values, vectors
+
+    monkeypatch.setattr(riesz_eig.eig, "sym_eig", sym_eig_losing_small_end)
+    with pytest.raises(RuntimeError) as exc:
+        solve(FractionalOrder(5.6), 8)
+    message = str(exc.value)
+    assert "-1.000e-21 in the even block (N=8, 2a=5.6)" in message
+    assert "below the rounding level eps*mu_max" in message
+    assert "assembly bug" not in message
 
 
 def test_parity_alternation_and_tags():

@@ -36,7 +36,7 @@ def test_order_k(two_alpha, k):
         assert 2 * order.k - 1 <= two_alpha < 2 * order.k + 1
 
 
-@pytest.mark.parametrize("two_alpha", [0.0, -0.5, -2.0])
+@pytest.mark.parametrize("two_alpha", [0.0, -0.5, -2.0, math.inf, math.nan])
 def test_order_rejects_nonpositive(two_alpha):
     with pytest.raises(ValueError):
         FractionalOrder(two_alpha)
