@@ -9,14 +9,11 @@ diagonalized independently.
 from .specfun import (
     FractionalOrder,
     JacobiWeightPair,
-    SignedLogMagnitude,
     a_norm_sq_gjf,
     basis_coeff,
     gjf_eval,
     jacobi_eval,
     jacobi_norm_sq,
-    log_gamma,
-    recip_gamma_signed,
     riesz_derivative_image,
     tail_seminorm_sq,
 )
@@ -42,14 +39,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FractionalOrder",
     "JacobiWeightPair",
-    "SignedLogMagnitude",
     "QuadratureRule",
     "MassMatrix",
     "EigenSolution",
     "SpectrumReport",
     "ConvergenceTable",
-    "log_gamma",
-    "recip_gamma_signed",
     "jacobi_eval",
     "jacobi_norm_sq",
     "gjf_eval",

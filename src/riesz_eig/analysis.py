@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import mass_entry
 from .eig import EigenSolution, solve
-from .specfun import FractionalOrder, a_norm_sq_gjf, log_gamma, tail_seminorm_sq
+from .specfun import FractionalOrder, a_norm_sq_gjf, tail_seminorm_sq
 
 __all__ = [
     "SpectrumReport",
@@ -77,6 +77,8 @@ def condition_number(sol: EigenSolution) -> float:
 
 def _loglog_slope(n_list, chis) -> float:
     """Least-squares slope of ``log chi`` against ``log N``."""
+    if min(n_list) < 1:
+        raise ValueError(f"a log-log slope needs degrees >= 1, got degree {min(n_list)}")
     return float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
 
 
@@ -163,7 +165,7 @@ def spectrum_report(sol: EigenSolution) -> SpectrumReport:
         lambdas=sol.lambdas,
         weyl_ratios=weyl_ratios(sol),
         condition_number=condition_number(sol),
-        poincare_bound=math.exp(log_gamma(sol.order.two_alpha + 1.0)),
+        poincare_bound=math.exp(math.lgamma(sol.order.two_alpha + 1.0)),
         minmax_upper=1.0 / mass_entry(sol.order, 0, 0),
         reliable_count=int(2 * sol.n_max / math.pi),
     )

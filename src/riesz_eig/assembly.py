@@ -58,26 +58,32 @@ class MassMatrix:
 
 
 def _entry_values(alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Closed-form entries for index pairs with even ``i + j`` and ``i <= j``.
+    """Closed-form entries for integer index pairs with even ``i + j`` and ``i <= j``.
 
-    The magnitude is assembled from log-gamma values; the sign is
-    ``(-1)^{(j-i)/2}`` times the signs of the two reciprocal-gamma factors,
-    which vanish exactly at nonpositive integer arguments (the source of the
-    integer-``alpha`` band structure).
+    Every special-function term depends on the index alone, on the sum
+    ``i + j`` or on the difference ``d = (j - i)/2``, so each is evaluated
+    once on the grid ``k = 0..max(i + j)`` and gathered per entry.  The
+    magnitude is assembled from log-gamma values; the sign is ``(-1)^d``
+    times the signs of the two reciprocal-gamma factors, which vanish exactly
+    at nonpositive integer arguments (the source of the integer-``alpha``
+    band structure).
     """
-    d = (j - i) / 2.0
-    s1, lg1 = _recip_gamma_signed_parts(alpha - d + 1.0)
-    s2, lg2 = _recip_gamma_signed_parts(alpha + d + 1.0)
-    sign = np.where(np.mod(d, 2.0) == 0.0, 1.0, -1.0) * s1 * s2
+    s = i + j
+    d = (j - i) // 2
+    k = np.arange(s.max(initial=0) + 1.0)
+    log_index = np.log(2.0 * k + 2.0 * alpha + 1.0)
+    s1, lg1 = _recip_gamma_signed_parts(alpha - k + 1.0)
+    s2, lg2 = _recip_gamma_signed_parts(alpha + k + 1.0)
+    sign = (np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * s1 * s2)[d]
     log_mag = (
-        0.5 * (_LOG_PI + np.log(2.0 * i + 2.0 * alpha + 1.0) + np.log(2.0 * j + 2.0 * alpha + 1.0))
+        0.5 * (_LOG_PI + log_index[i] + log_index[j])
         + math.lgamma(2.0 * alpha + 1.0)
-        + gammaln(i + j + 1.0)
+        + gammaln(k + 1.0)[s]
         - (2.0 * alpha + i + j + 1.0) * _LOG_2
-        - gammaln(2.0 * alpha + (i + j) / 2.0 + 1.5)
-        - gammaln((i + j) / 2.0 + 1.0)
-        + lg1
-        + lg2
+        - gammaln(2.0 * alpha + k / 2.0 + 1.5)[s]
+        - gammaln(k / 2.0 + 1.0)[s]
+        + lg1[d]
+        + lg2[d]
     )
     # vanished-sign entries must come out as a clean +0.0
     return np.where(sign == 0.0, 0.0, sign * np.exp(log_mag))
@@ -90,13 +96,13 @@ def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     if (i + j) % 2 == 1:
         return 0.0
     lo, hi = (i, j) if i <= j else (j, i)
-    return float(_entry_values(order.alpha, np.array([lo], float), np.array([hi], float))[0])
+    return float(_entry_values(order.alpha, np.array([lo]), np.array([hi]))[0])
 
 
 def _parity_block(alpha: float, indices: np.ndarray) -> np.ndarray:
     """The block of the mass matrix on ``indices`` (all of one parity)."""
     a, b = np.triu_indices(indices.size)
-    values = _entry_values(alpha, indices[a].astype(float), indices[b].astype(float))
+    values = _entry_values(alpha, indices[a], indices[b])
     block = np.empty((indices.size, indices.size))
     block[a, b] = values
     block[b, a] = values

@@ -56,6 +56,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_row(values, sep: str = ",") -> str:
+    """``sep.join(_fmt(v) for v in values)``, formatted in one pass."""
+    row = np.asarray(values, dtype=float).tolist()
+    return sep.join(["%.17g"] * len(row)) % tuple(row)
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riesz-eig-")
@@ -76,9 +82,8 @@ def _emit(config: RunConfig, text: str) -> None:
         _atomic_write(config.output, text)
 
 
-def _csv(header: list[str], rows: list[list[str]], trailer: str | None = None) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _csv(header: list[str], rows: list[str], trailer: str | None = None) -> str:
+    lines = [",".join(header), *rows]
     if trailer is not None:
         lines.append(trailer)
     return "\n".join(lines) + "\n"
@@ -107,7 +112,7 @@ def cmd_eig(config: RunConfig) -> None:
     sol = solve(order, config.n)
     report = analysis.spectrum_report(sol)
     if config.format == "json":
-        lambdas = "[" + ", ".join(_fmt(v) for v in sol.lambdas) + "]"
+        lambdas = "[" + _fmt_row(sol.lambdas, ", ") + "]"
         fields = [
             f'"schema": "{SCHEMA}"',
             f'"two_alpha": {_fmt(config.two_alpha)}',
@@ -118,19 +123,16 @@ def cmd_eig(config: RunConfig) -> None:
             f'"minmax_upper": {_fmt(report.minmax_upper)}',
         ]
         if config.vectors:
-            rows = ("[" + ", ".join(_fmt(c) for c in vec) + "]" for vec in sol.vectors)
+            rows = ("[" + _fmt_row(vec, ", ") + "]" for vec in sol.vectors)
             fields.append('"vectors": [' + ", ".join(rows) + "]")
         _emit(config, "{" + ", ".join(fields) + "}\n")
         return
     header = ["n", "lambda"]
+    table = sol.lambdas[:, None]
     if config.vectors:
         header += [f"c{j}" for j in range(config.n + 1)]
-    rows = []
-    for i, lam in enumerate(sol.lambdas):
-        row = [str(i + 1), _fmt(lam)]
-        if config.vectors:
-            row += [_fmt(c) for c in sol.vectors[i]]
-        rows.append(row)
+        table = np.column_stack([sol.lambdas, sol.vectors])
+    rows = [f"{i + 1},{_fmt_row(row)}" for i, row in enumerate(table)]
     _emit(config, _csv(header, rows))
 
 
@@ -138,7 +140,7 @@ def cmd_convergence(config: RunConfig) -> None:
     """First-eigenvalue errors against a fine reference, one row per degree."""
     order = FractionalOrder(config.two_alpha)
     table = analysis.convergence_table(order, config.n_list, config.reference_n)
-    rows = [[str(n), _fmt(lam), _fmt(err)] for n, lam, err in table.rows]
+    rows = [f"{n},{_fmt_row((lam, err))}" for n, lam, err in table.rows]
     _emit(config, _csv(["N", "lambda1", "error"], rows))
 
 
@@ -147,8 +149,8 @@ def cmd_weyl(config: RunConfig) -> None:
     order = FractionalOrder(config.two_alpha)
     report = analysis.spectrum_report(solve(order, config.n))
     rows = [
-        [str(i + 1), _fmt(lam), _fmt(rho), "true" if i + 1 <= report.reliable_count else "false"]
-        for i, (lam, rho) in enumerate(zip(report.lambdas, report.weyl_ratios))
+        f"{i + 1},{_fmt_row(row)},{'true' if i + 1 <= report.reliable_count else 'false'}"
+        for i, row in enumerate(np.column_stack([report.lambdas, report.weyl_ratios]))
     ]
     _emit(config, _csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows))
 
@@ -158,7 +160,7 @@ def cmd_condition(config: RunConfig) -> None:
     order = FractionalOrder(config.two_alpha)
     sols = analysis.solve_sweep(order, config.n_list)
     chis = [analysis.condition_number(sols[n]) for n in config.n_list]
-    rows = [[str(n), _fmt(chi)] for n, chi in zip(config.n_list, chis)]
+    rows = [f"{n},{_fmt(chi)}" for n, chi in zip(config.n_list, chis)]
     trailer = None
     if len(config.n_list) >= 3:
         slope = analysis._loglog_slope(config.n_list, chis)
@@ -176,10 +178,7 @@ def cmd_eigfun(config: RunConfig) -> None:
     xs = np.linspace(-1.0, 1.0, config.samples)
     columns = [eval_eigenfunction(sol, index, xs) for index in config.indices]
     header = ["x"] + [f"u_{index}" for index in config.indices]
-    rows = [
-        [_fmt(x)] + [_fmt(col[k]) for col in columns]
-        for k, x in enumerate(xs)
-    ]
+    rows = [_fmt_row(row) for row in np.column_stack([xs, *columns])]
     _emit(config, _csv(header, rows))
 
 
@@ -188,7 +187,7 @@ def cmd_mass(config: RunConfig) -> None:
     order = FractionalOrder(config.two_alpha)
     mass = assemble_mass(order, config.n)
     header = [f"j{j}" for j in range(config.n + 1)]
-    rows = [[_fmt(v) for v in row] for row in mass.entries]
+    rows = [_fmt_row(row) for row in mass.entries]
     _emit(config, _csv(header, rows))
     if config.verify_oracle:
         worst = 0.0

@@ -80,6 +80,11 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
         if indices.size == 0:
             continue
         mu, vecs = sym_eig(block)
+        if mu[-1] == 0.0:
+            raise RuntimeError(
+                f"every entry of the {tag} block underflows to 0 in double precision "
+                f"(N={n_max}, 2a={order.two_alpha:g})"
+            )
         if mu[0] <= 0.0:
             raise RuntimeError(
                 f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block "

@@ -17,9 +17,6 @@ from scipy.special import gammaln
 __all__ = [
     "FractionalOrder",
     "JacobiWeightPair",
-    "SignedLogMagnitude",
-    "log_gamma",
-    "recip_gamma_signed",
     "jacobi_eval",
     "jacobi_norm_sq",
     "gjf_eval",
@@ -88,67 +85,16 @@ def _formal_weight_pair(a: float, b: float) -> JacobiWeightPair:
     return pair
 
 
-@dataclass(frozen=True)
-class SignedLogMagnitude:
-    """A real number stored as ``sign * exp(log_mag)``.
-
-    ``sign`` is -1, 0 or +1; ``log_mag`` is ignored when ``sign == 0``.
-    """
-
-    sign: int
-    log_mag: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)
-
-    def __mul__(self, other: "SignedLogMagnitude") -> "SignedLogMagnitude":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return SignedLogMagnitude(0, -math.inf)
-        return SignedLogMagnitude(sign, self.log_mag + other.log_mag)
-
-
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with exact argument reduction to |f| <= 1/2; the naive
-    # math.sin(math.pi * x) loses all accuracy for large |x|.
-    r = round(x)
-    s = math.sin(math.pi * (x - r))
-    return -s if r % 2 else s
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for ``x > 0``.
-
-    Backed by the C library's Lanczos-style ``lgamma``, which is well within
-    the 1e-14 relative-accuracy budget on (0, 1e6].
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
-
-
-def recip_gamma_signed(x: float) -> SignedLogMagnitude:
-    """``1 / Gamma(x)`` as a signed log magnitude, for any real ``x``.
-
-    At nonpositive integers the reciprocal is an exact zero (sign 0).  For
-    negative non-integer arguments the reflection identity
-    ``Gamma(x) * Gamma(1-x) = pi / sin(pi*x)`` supplies both sign and
-    magnitude without ever evaluating Gamma at a negative point.
-    """
-    if x > 0:
-        return SignedLogMagnitude(1, -math.lgamma(x))
-    if x == math.floor(x):
-        return SignedLogMagnitude(0, -math.inf)
-    s = _sinpi(x)
-    sign = 1 if s > 0 else -1
-    return SignedLogMagnitude(sign, math.lgamma(1.0 - x) + math.log(abs(s)) - _LOG_PI)
-
-
 def _recip_gamma_signed_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`recip_gamma_signed`: arrays of signs and log magnitudes."""
+    """``1 / Gamma(x)`` for any real array ``x``, as arrays of signs and log magnitudes.
+
+    At nonpositive integers the reciprocal is an exact zero (sign 0, log
+    magnitude ``-inf``).  For negative non-integer arguments the reflection
+    identity ``Gamma(x) * Gamma(1-x) = pi / sin(pi*x)`` supplies both sign and
+    magnitude without evaluating Gamma at a negative point; ``sin(pi*x)`` is
+    taken after exact reduction to ``|x - round(x)| <= 1/2``, so accuracy
+    holds far out on the negative axis.
+    """
     x = np.asarray(x, dtype=float)
     sign = np.ones_like(x)
     log_mag = np.empty_like(x)

@@ -76,6 +76,11 @@ def test_condition_slope_needs_three_points():
         condition_slope(FractionalOrder(1.6), [32, 64])
 
 
+def test_condition_slope_rejects_degree_zero():
+    with pytest.raises(ValueError, match="degree 0"):
+        condition_slope(FractionalOrder(1.6), [0, 4, 8])
+
+
 def test_convergence_table():
     order = FractionalOrder(1.6)
     table = convergence_table(order, [8, 16, 32], 64)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+import riesz_eig.assembly
 from riesz_eig.assembly import assemble_mass, mass_entry, stiffness_check
 from riesz_eig.quadrature import oracle_mass_entry
-from riesz_eig.specfun import FractionalOrder
+from riesz_eig.specfun import _LOG_2, _LOG_PI, FractionalOrder, _recip_gamma_signed_parts
 
 
 def closed_form_m00(two_alpha: float) -> float:
@@ -82,6 +84,68 @@ def test_scalar_entry_matches_assembled_grid():
     for i in range(17):
         for j in range(17):
             assert mass.entries[i, j] == mass_entry(order, i, j)
+
+
+def per_entry_values(alpha, i, j):
+    """The closed form evaluated term by term for every entry (float ``i <= j``)."""
+    d = (j - i) / 2.0
+    s1, lg1 = _recip_gamma_signed_parts(alpha - d + 1.0)
+    s2, lg2 = _recip_gamma_signed_parts(alpha + d + 1.0)
+    sign = np.where(np.mod(d, 2.0) == 0.0, 1.0, -1.0) * s1 * s2
+    log_mag = (
+        0.5 * (_LOG_PI + np.log(2.0 * i + 2.0 * alpha + 1.0) + np.log(2.0 * j + 2.0 * alpha + 1.0))
+        + math.lgamma(2.0 * alpha + 1.0)
+        + gammaln(i + j + 1.0)
+        - (2.0 * alpha + i + j + 1.0) * _LOG_2
+        - gammaln(2.0 * alpha + (i + j) / 2.0 + 1.5)
+        - gammaln((i + j) / 2.0 + 1.0)
+        + lg1
+        + lg2
+    )
+    return np.where(sign == 0.0, 0.0, sign * np.exp(log_mag))
+
+
+def per_entry_block(alpha, indices):
+    a, b = np.triu_indices(indices.size)
+    values = per_entry_values(alpha, indices[a].astype(float), indices[b].astype(float))
+    block = np.empty((indices.size, indices.size))
+    block[a, b] = values
+    block[b, a] = values
+    return block
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 48, 256])
+@pytest.mark.parametrize("two_alpha", [0.37, 1.3, 2.0, 4.97, 8.0])
+def test_tabulated_terms_match_per_entry_formula(two_alpha, n_max):
+    # gathering the terms from O(N) tables must not change a single bit
+    order = FractionalOrder(two_alpha)
+    mass = assemble_mass(order, n_max)
+    for block, start in ((mass.even_block, 0), (mass.odd_block, 1)):
+        expected = per_entry_block(order.alpha, np.arange(start, n_max + 1, 2))
+        assert np.array_equal(block, expected)
+        assert np.array_equal(np.signbit(block), np.signbit(expected))
+    sample = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max} & set(range(n_max + 1)))
+    for i in sample:
+        for j in sample:
+            assert mass_entry(order, i, j) == mass.entries[i, j]
+
+
+def test_special_functions_see_only_linear_tables(monkeypatch):
+    n_max = 256
+    sizes = []
+
+    def recording(fn):
+        def wrapped(x):
+            sizes.append(np.size(x))
+            return fn(x)
+        return wrapped
+
+    monkeypatch.setattr(riesz_eig.assembly, "gammaln", recording(gammaln))
+    monkeypatch.setattr(
+        riesz_eig.assembly, "_recip_gamma_signed_parts", recording(_recip_gamma_signed_parts)
+    )
+    assemble_mass(FractionalOrder(1.6), n_max)
+    assert sizes and max(sizes) <= 2 * n_max + 1
 
 
 @pytest.mark.parametrize("two_alpha", [0.5, 1.3, 2.6])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from riesz_eig.cli import main
+from riesz_eig.cli import _fmt_row, main
 
 
 def run(args):
@@ -153,6 +153,15 @@ def test_condition_single_degree_no_slope(tmp_path):
     assert "#" not in read(out)
 
 
+def test_condition_rejects_degree_zero(capsys):
+    assert run(["condition", "--two-alpha", "1.6", "--n-list", "0,4,8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "riesz-eig: error: a log-log slope needs degrees >= 1, got degree 0\n"
+    )
+
+
 def test_eigfun_csv(tmp_path):
     out = tmp_path / "fun.csv"
     assert run(["eigfun", "--two-alpha", "2.0", "--n", "32", "--indices", "1",
@@ -211,6 +220,25 @@ def test_reruns_byte_identical(tmp_path):
         assert run(["eig", "--two-alpha", "1.3", "--n", "48", "--vectors",
                     "-o", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_fmt_row_matches_per_number_format():
+    edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0 / 3.0, -1e300,
+            math.inf, -math.inf, math.nan, 1.6, 2.0**53 + 2.0]
+    values = np.array(edge)
+    for sep in (",", ", "):
+        expected = sep.join(format(float(x), ".17g") for x in values)
+        assert _fmt_row(values, sep) == expected
+        assert _fmt_row(edge, sep) == expected
+    assert _fmt_row([]) == ""
+
+
+def test_eig_underflow_message(capsys):
+    assert run(["eig", "--two-alpha", "200", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflow" in captured.err
+    assert "(N=4, 2a=200)" in captured.err
 
 
 def test_stdout_output(capsys):

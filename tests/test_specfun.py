@@ -7,14 +7,12 @@ from scipy.special import eval_jacobi
 from riesz_eig.specfun import (
     FractionalOrder,
     JacobiWeightPair,
-    SignedLogMagnitude,
+    _recip_gamma_signed_parts,
     a_norm_sq_gjf,
     basis_coeff,
     gjf_eval,
     jacobi_eval,
     jacobi_norm_sq,
-    log_gamma,
-    recip_gamma_signed,
     riesz_derivative_image,
     tail_seminorm_sq,
 )
@@ -49,72 +47,44 @@ def test_weight_pair_rejects_out_of_range():
         JacobiWeightPair(0.0, -1.5)
 
 
-# --------------------------------------------------------------- log_gamma
+# ---------------------------------------------- _recip_gamma_signed_parts
 
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-15)
-    ratio = math.exp(log_gamma(5.5) - log_gamma(2.5))
-    assert math.isclose(ratio, 39.375, rel_tol=1e-14)
+def recip_gamma(x):
+    sign, log_mag = _recip_gamma_signed_parts(np.asarray(x, dtype=float))
+    return sign * np.exp(log_mag)
 
-
-def test_log_gamma_functional_equation():
-    # Gamma(x+1) = x Gamma(x) across many magnitudes
-    for x in [1e-3, 0.3, 1.7, 12.0, 345.6, 1e4, 1e6]:
-        lhs = log_gamma(x + 1.0)
-        rhs = log_gamma(x) + math.log(x)
-        assert math.isclose(lhs, rhs, rel_tol=1e-13, abs_tol=1e-13)
-
-
-def test_log_gamma_domain_error():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-# ----------------------------------------------------- recip_gamma_signed
 
 def test_recip_gamma_examples():
-    r = recip_gamma_signed(3.0)
-    assert r.sign == 1
-    assert math.isclose(r.log_mag, -math.log(2.0), rel_tol=1e-15)
-    assert recip_gamma_signed(0.0).sign == 0
-    assert recip_gamma_signed(-4.0).sign == 0
+    sign, log_mag = _recip_gamma_signed_parts(np.array([3.0, 0.0, -4.0]))
+    np.testing.assert_array_equal(sign, [1.0, 0.0, 0.0])
+    assert math.isclose(log_mag[0], -math.log(2.0), rel_tol=1e-15)
+    np.testing.assert_array_equal(recip_gamma([0.0, -4.0]), [0.0, 0.0])
     # reflection formula: 1/Gamma(-1/2) = -1/(2 sqrt(pi))
-    r = recip_gamma_signed(-0.5)
-    assert math.isclose(r.value, -1.0 / (2.0 * math.sqrt(math.pi)), rel_tol=1e-14)
+    assert math.isclose(recip_gamma([-0.5])[0], -1.0 / (2.0 * math.sqrt(math.pi)), rel_tol=1e-14)
 
 
 def test_recip_gamma_product_identity():
-    for x in np.arange(0.1, 20.01, 0.37):
-        assert math.isclose(recip_gamma_signed(x).value * math.gamma(x), 1.0, rel_tol=1e-13)
+    x = np.arange(0.1, 20.01, 0.37)
+    gamma = np.array([math.gamma(v) for v in x])
+    np.testing.assert_allclose(recip_gamma(x) * gamma, 1.0, rtol=1e-13, atol=0.0)
 
 
 def test_recip_gamma_sign_on_negative_axis():
     # Gamma alternates sign between consecutive negative integers.
-    for x in np.arange(-5.95, 0.0, 0.1):
-        if x == math.floor(x):
-            continue
-        expected = 1 if math.floor(x) % 2 == 0 else -1
-        assert recip_gamma_signed(x).sign == expected
-        # magnitude agrees with the reflection-formula factors
-        direct = math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
-        assert math.isclose(recip_gamma_signed(x).value, direct, rel_tol=1e-12)
+    x = np.arange(-5.95, 0.0, 0.1)
+    x = x[x != np.floor(x)]
+    sign, _ = _recip_gamma_signed_parts(x)
+    np.testing.assert_array_equal(sign, np.where(np.floor(x) % 2 == 0, 1.0, -1.0))
+    # magnitude agrees with the reflection-formula factors
+    direct = np.array([math.gamma(1.0 - v) * math.sin(math.pi * v) / math.pi for v in x])
+    np.testing.assert_allclose(recip_gamma(x), direct, rtol=1e-12, atol=0.0)
 
 
 def test_recip_gamma_large_negative_argument():
     # Reflection with exact argument reduction: no precision collapse far out.
-    r = recip_gamma_signed(-200.5)
-    assert r.sign == -1  # floor(-200.5) is odd
-    assert math.isclose(r.log_mag, math.lgamma(201.5) - math.log(math.pi), rel_tol=1e-13)
-
-
-def test_signed_log_magnitude_product():
-    a = SignedLogMagnitude(-1, math.log(3.0))
-    b = SignedLogMagnitude(-1, math.log(0.5))
-    assert math.isclose((a * b).value, 1.5, rel_tol=1e-15)
-    zero = SignedLogMagnitude(0, -math.inf)
-    assert (a * zero).value == 0.0
+    sign, log_mag = _recip_gamma_signed_parts(np.array([-200.5]))
+    assert sign[0] == -1.0  # floor(-200.5) is odd
+    assert math.isclose(log_mag[0], math.lgamma(201.5) - math.log(math.pi), rel_tol=1e-13)
 
 
 # -------------------------------------------------------------- jacobi_eval
