@@ -4,12 +4,15 @@ With an identity stiffness matrix the generalized problem collapses to the
 standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
-independently and merged.
+independently and merged.  The spectral studies need only the eigenvalues, so
+``solve`` computes values alone; the coefficient vectors are computed the
+first time a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,33 +23,62 @@ __all__ = ["EigenSolution", "sym_eig", "solve", "eval_eigenfunction"]
 
 _SYMMETRY_RTOL = 1e-14
 _PARITIES = ("even", "odd")
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
 class EigenSolution:
-    """Ascending eigenvalues with L2-normalized coefficient vectors.
+    """Ascending eigenvalues; L2-normalized coefficient vectors on first access.
 
-    ``vectors[i]`` holds the coefficients of the ``i``-th eigenfunction over
-    the normalized basis; entries of the opposite parity are exact zeros.
-    The largest-magnitude coefficient of each vector is positive, making the
-    output deterministic.
+    ``parities[i]`` tags the ``i``-th eigenvalue with the parity block it
+    comes from.  ``vectors`` is computed the first time it is read, by a full
+    decomposition of the re-assembled blocks; it raises ``RuntimeError`` when
+    that decomposition loses the small end of a graded block.
     """
 
     order: FractionalOrder
     n_max: int
     lambdas: np.ndarray
-    vectors: np.ndarray
     parities: tuple[str, ...]
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """``vectors[i]`` holds the coefficients of the ``i``-th eigenfunction (read-only).
 
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a symmetric matrix: ascending values, orthonormal columns.
+        The coefficients are over the normalized basis; entries of the
+        opposite parity are exact zeros.  The largest-magnitude coefficient
+        of each vector is positive, making the output deterministic.
+        """
+        mass = assemble_mass(self.order, self.n_max)
+        blocks = ((mass.even_indices, mass.even_block), (mass.odd_indices, mass.odd_block))
+        parities = np.array(self.parities)
+        vectors = np.zeros((self.n_max + 1, self.n_max + 1))
+        for tag, (indices, block) in zip(_PARITIES, blocks):
+            if indices.size == 0:
+                continue
+            mu, vecs = sym_eig(block)
+            if not mu[0] > 0.0:
+                raise RuntimeError(
+                    f"nonpositive mass eigenvalue {mu[0]:.3e} from the full decomposition of "
+                    f"the {tag} block (N={self.n_max}, 2a={self.order.two_alpha:g}): it lies "
+                    f"below the rounding level eps*mu_max = {_EPS * mu[-1]:.3e}, and the "
+                    "eigenvectors need the small end that the full decomposition loses"
+                )
+            # Within a block the merge keeps the descending-mu order, so the
+            # k-th row of this parity takes the k-th vector of the block.
+            rows = np.flatnonzero(parities == tag)
+            mu, vecs = mu[::-1], vecs[:, ::-1]
+            vectors[np.ix_(rows, indices)] = (vecs / np.sqrt(mu)).T
+        # deterministic sign: the largest-magnitude coefficient of each row is positive
+        dominant = vectors[np.arange(self.n_max + 1), np.argmax(np.abs(vectors), axis=1)]
+        vectors[dominant < 0.0] *= -1.0
+        vectors.setflags(write=False)
+        return vectors
 
-    Backed by LAPACK's symmetric solver (Householder tridiagonalization plus
-    implicitly shifted iteration).  Rejects matrices whose asymmetry exceeds
-    1e-14 relative to the largest entry; non-convergence raises with
-    diagnostics since it signals a bug rather than a user error.
-    """
+
+def _symmetric_eig(matrix, solver):
+    """Run the numpy symmetric eigensolver ``solver`` on ``matrix`` after the checks."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -55,62 +87,81 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
     try:
-        values, vectors = np.linalg.eigh(m)
+        return solver(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"symmetric eigensolve failed to converge (dim {m.shape[0]}, scale {scale:.3e})"
         ) from exc
-    return values, vectors
+
+
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a symmetric matrix: ascending values, orthonormal columns.
+
+    Backed by ``numpy.linalg.eigh``, LAPACK's divide-and-conquer routine
+    ``syevd`` (Householder tridiagonalization, then divide and conquer with
+    vectors).  Rejects matrices whose asymmetry exceeds 1e-14 relative to
+    the largest entry; non-convergence raises with diagnostics since it
+    signals a bug rather than a user error.
+    """
+    return _symmetric_eig(matrix, np.linalg.eigh)
+
+
+def _sym_eigvals(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, checked as in ``sym_eig``.
+
+    Backed by ``numpy.linalg.eigvalsh``, LAPACK ``syevd`` without vectors,
+    whose tridiagonal stage is the root-free QR iteration ``sterf``.  It
+    keeps the small end of the graded mass blocks that the full
+    decomposition loses.
+    """
+    return _symmetric_eig(matrix, np.linalg.eigvalsh)
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
-    """Solve the discrete eigenproblem at basis degree ``n_max``.
+    """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
-    Each parity block of the mass matrix is diagonalized separately; the
-    reciprocals of its eigenvalues are merged and sorted ascending, with ties
-    broken even-before-odd and then by within-block position.
+    Each parity block of the mass matrix is solved for its eigenvalues
+    alone; their reciprocals are merged and sorted ascending, with ties
+    broken even-before-odd and then by within-block position.  No vector is
+    computed here (see ``EigenSolution.vectors``).
     """
     mass = assemble_mass(order, n_max)
-    blocks = ((mass.even_indices, mass.even_block), (mass.odd_indices, mass.odd_block))
-    sizes = [indices.size for indices, _ in blocks]
-    lambdas = np.empty(n_max + 1)
-    vectors = np.zeros((n_max + 1, n_max + 1))
-    start = 0
-    for tag, (indices, block) in zip(_PARITIES, blocks):
-        if indices.size == 0:
+    parts = []
+    for tag, block in zip(_PARITIES, (mass.even_block, mass.odd_block)):
+        mu = _sym_eigvals(block)
+        if mu.size == 0:  # the odd block at N = 0
+            parts.append(mu)
             continue
-        mu, vecs = sym_eig(block)
-        if mu[-1] == 0.0:
+        where = f"N={n_max}, 2a={order.two_alpha:g}"
+        if mu[-1] < _TINY:
             raise RuntimeError(
-                f"every entry of the {tag} block underflows to 0 in double precision "
-                f"(N={n_max}, 2a={order.two_alpha:g})"
+                f"every entry of the {tag} block underflows in double precision: its largest "
+                f"mass eigenvalue {mu[-1]:.3e} lies below the smallest normal double "
+                f"{_TINY:.3e} ({where})"
             )
         if mu[0] <= 0.0:
             raise RuntimeError(
-                f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block "
-                f"(N={n_max}, 2a={order.two_alpha:g}): it lies below the rounding level "
-                f"eps*mu_max = {np.finfo(float).eps * mu[-1]:.3e}, so the eigensolver "
-                "has lost the small end of this graded block"
+                f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block ({where}): it "
+                f"lies below the rounding level eps*mu_max = {_EPS * mu[-1]:.3e}, so the "
+                "eigensolver has lost the small end of this graded block"
+            )
+        if mu[0] < _TINY:
+            raise RuntimeError(
+                f"the small end of the {tag} block underflows: its smallest mass eigenvalue "
+                f"{mu[0]:.3e} falls below the normal double range (smallest normal "
+                f"{_TINY:.3e}) ({where})"
             )
         # mu ascending -> lambda = 1/mu descending; reverse so the within-block
         # position counts in ascending-lambda order.
-        mu, vecs = mu[::-1], vecs[:, ::-1]
-        rows = slice(start, start + mu.size)
-        lambdas[rows] = 1.0 / mu
-        vectors[rows, indices] = (vecs / np.sqrt(mu)).T
-        start += mu.size
-
-    parity_rank = np.repeat([0, 1], sizes)
-    position = np.concatenate([np.arange(size) for size in sizes])
+        parts.append(1.0 / mu[::-1])
+    lambdas = np.concatenate(parts)
+    parity_rank = np.repeat([0, 1], [part.size for part in parts])
+    position = np.concatenate([np.arange(part.size) for part in parts])
     perm = np.lexsort((position, parity_rank, lambdas))
-    lambdas, vectors = lambdas[perm], vectors[perm]
-    # deterministic sign: the largest-magnitude coefficient of each row is positive
-    dominant = vectors[np.arange(n_max + 1), np.argmax(np.abs(vectors), axis=1)]
-    vectors[dominant < 0.0] *= -1.0
+    lambdas = lambdas[perm]
     lambdas.setflags(write=False)
-    vectors.setflags(write=False)
     parities = tuple(_PARITIES[rank] for rank in parity_rank[perm])
-    return EigenSolution(order, n_max, lambdas, vectors, parities)
+    return EigenSolution(order, n_max, lambdas, parities)
 
 
 def eval_eigenfunction(sol: EigenSolution, index: int, xs) -> np.ndarray:

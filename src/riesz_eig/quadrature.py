@@ -30,6 +30,7 @@ __all__ = [
     "gauss_jacobi",
     "jacobi_weight_moments",
     "oracle_mass_entry",
+    "oracle_mass_matrix",
     "oracle_a_inner",
 ]
 
@@ -134,6 +135,23 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     pair = JacobiWeightPair(order.alpha, order.alpha)
     rows = _jacobi_all(pair, max(i, j), rule.nodes)
     return basis_coeff(order, i) * basis_coeff(order, j) * rule.integrate(rows[i] * rows[j])
+
+
+def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:
+    """The full mass matrix by quadrature, as ``oracle_mass_entry`` but with one rule.
+
+    One ``(n_max+1)``-node rule for the weight ``(1-x^2)^{2 alpha}`` is exact
+    for every product ``P_i P_j`` with ``i, j <= n_max``, so the matrix is
+    ``C (R W R^T) C`` with ``R`` the Jacobi values at the nodes, ``W`` the
+    weights and ``C`` the basis normalizations.
+    """
+    if n_max < 0:
+        raise ValueError(f"basis degree must be nonnegative, got {n_max}")
+    s = 2.0 * order.alpha
+    rule = gauss_jacobi(JacobiWeightPair(s, s), n_max + 1)
+    rows = _jacobi_all(JacobiWeightPair(order.alpha, order.alpha), n_max, rule.nodes)
+    coeffs = np.array([basis_coeff(order, n) for n in range(n_max + 1)])
+    return coeffs[:, None] * ((rows * rule.weights) @ rows.T) * coeffs
 
 
 def oracle_a_inner(order: FractionalOrder, m: int, n: int) -> float:

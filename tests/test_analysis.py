@@ -23,7 +23,6 @@ def make_solution(two_alpha, n_max, lambdas):
         order=FractionalOrder(two_alpha),
         n_max=n_max,
         lambdas=lambdas,
-        vectors=np.zeros((len(lambdas), n_max + 1)),
         parities=tuple("even" for _ in lambdas),
     )
 

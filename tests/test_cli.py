@@ -241,6 +241,18 @@ def test_eig_underflow_message(capsys):
     assert "(N=4, 2a=200)" in captured.err
 
 
+@pytest.mark.parametrize("two_alpha, n", [(150, 40), (170, 4), (172, 4), (175, 4)])
+def test_eig_partial_underflow_is_an_error(capsys, two_alpha, n):
+    # the smallest (or every) mass eigenvalue is subnormal: no inf on stdout
+    assert run(["eig", "--two-alpha", str(two_alpha), "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert "inf" not in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "underflow" in lines[0]
+    assert f"(N={n}, 2a={two_alpha})" in lines[0]
+
+
 def test_stdout_output(capsys):
     assert run(["eig", "--two-alpha", "2.0", "--n", "0"]) == 0
     out = capsys.readouterr().out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import riesz_eig.eig
+from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
 from riesz_eig.assembly import assemble_mass
-from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
+from riesz_eig.eig import _sym_eigvals, eval_eigenfunction, solve, sym_eig
 from riesz_eig.specfun import FractionalOrder
 
 TABLE_16 = [1.7282959570964, 5.75634828003]  # leading pair at 2 alpha = 1.6, N = 64
@@ -81,7 +82,10 @@ def test_solution_structure():
 
 
 def _reference_merge(order, n_max):
-    """Per-eigenpair merge: sort by (lambda, parity, position), then fix signs."""
+    """Per-eigenpair merge: sort by (lambda, parity, position), then fix signs.
+
+    Eigenvalues come from the values-only ``eigvalsh``, vectors from ``eigh``.
+    """
     mass = assemble_mass(order, n_max)
     merged = []
     blocks = (
@@ -91,11 +95,12 @@ def _reference_merge(order, n_max):
     for rank, (tag, indices, block) in enumerate(blocks):
         if indices.size == 0:
             continue
+        values = np.linalg.eigvalsh(block)
         mu, vecs = np.linalg.eigh(block)
         for pos, col in enumerate(reversed(range(mu.size))):
             full = np.zeros(n_max + 1)
             full[indices] = vecs[:, col] / math.sqrt(mu[col])
-            merged.append((1.0 / mu[col], rank, pos, tag, full))
+            merged.append((1.0 / values[col], rank, pos, tag, full))
     merged.sort(key=lambda item: item[:3])
     vectors = []
     for item in merged:
@@ -117,19 +122,70 @@ def test_solve_matches_reference_merge(two_alpha, n_max):
     assert sol.parities == parities
 
 
-def test_solve_names_lost_small_end(monkeypatch):
-    def sym_eig_losing_small_end(block):
-        values, vectors = sym_eig(block)
-        values[0] = -1e-21
-        return values, vectors
+@pytest.mark.parametrize("two_alpha, n_max", [(1.6, 1024), (3.6, 1024), (5.6, 512)])
+def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    blocks = (mass.even_block, mass.odd_block)
+    expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
+    np.testing.assert_array_equal(solve(FractionalOrder(two_alpha), n_max).lambdas, expected)
 
-    monkeypatch.setattr(riesz_eig.eig, "sym_eig", sym_eig_losing_small_end)
+
+def test_values_paths_never_decompose_fully(monkeypatch):
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called on a values-only path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    order = FractionalOrder(1.6)
+    sol = solve(order, 64)
+    spectrum_report(sol)
+    weyl_ratios(sol)
+    condition_slope(order, [8, 16, 32])
+    convergence_table(order, [8, 16], 32)
+    with pytest.raises(AssertionError):
+        sol.vectors
+
+
+def test_solve_names_lost_small_end(monkeypatch):
+    def sym_eigvals_losing_small_end(block):
+        values = _sym_eigvals(block)
+        values[0] = -1e-21
+        return values
+
+    monkeypatch.setattr(riesz_eig.eig, "_sym_eigvals", sym_eigvals_losing_small_end)
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(5.6), 8)
     message = str(exc.value)
     assert "-1.000e-21 in the even block (N=8, 2a=5.6)" in message
     assert "below the rounding level eps*mu_max" in message
     assert "assembly bug" not in message
+
+
+def test_graded_block_values_succeed_but_vectors_name_lost_small_end():
+    # (5.6, 512): the values-only solver keeps the small end of both blocks,
+    # the full decomposition does not.
+    sol = solve(FractionalOrder(5.6), 512)
+    assert np.all(np.isfinite(sol.lambdas)) and np.all(np.diff(sol.lambdas) > 0)
+    with pytest.raises(RuntimeError) as exc:
+        sol.vectors
+    message = str(exc.value)
+    assert "block (N=512, 2a=5.6)" in message
+    assert "eps*mu_max" in message
+    assert "eigenvectors need the small end that the full decomposition loses" in message
+
+
+# Smallest eigenvalue of the even parity block at 2a = 8, N = 128, as assembled
+# in double precision (65 x 65).  Derivation: mpmath.eigsy on
+# mpmath.matrix(assemble_mass(FractionalOrder(8.0), 128).even_block.tolist())
+# at mp.dps = 60, i.e. the exact spectrum of the same double matrix.  The
+# full decomposition (numpy.linalg.eigh) puts it about 16% too high.
+MU_MIN_8_128_EVEN = 2.2076628431594825415e-25
+
+
+def test_smallest_mu_matches_high_precision_spectrum():
+    sol = solve(FractionalOrder(8.0), 128)
+    even = np.array(sol.parities) == "even"
+    mu_min = 1.0 / sol.lambdas[even][-1]
+    assert abs(mu_min - MU_MIN_8_128_EVEN) <= 1e-7 * MU_MIN_8_128_EVEN
 
 
 def test_parity_alternation_and_tags():

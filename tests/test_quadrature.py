@@ -8,6 +8,7 @@ from riesz_eig.quadrature import (
     jacobi_weight_moments,
     oracle_a_inner,
     oracle_mass_entry,
+    oracle_mass_matrix,
 )
 from riesz_eig.specfun import (
     FractionalOrder,
@@ -105,6 +106,17 @@ def test_oracle_mass_entry_odd_parity(two_alpha):
     for i, j in ((0, 1), (1, 2), (2, 5), (0, 7)):
         assert abs(oracle_mass_entry(order, i, j)) <= 1e-15
         assert oracle_mass_entry(order, i, j) == oracle_mass_entry(order, j, i)
+
+
+@pytest.mark.parametrize("two_alpha, n_max", [(2.0, 8), (3.6, 64)])
+def test_oracle_mass_matrix_matches_entries(two_alpha, n_max):
+    order = FractionalOrder(two_alpha)
+    matrix = oracle_mass_matrix(order, n_max)
+    assert matrix.shape == (n_max + 1, n_max + 1)
+    m00 = oracle_mass_entry(order, 0, 0)
+    for i in range(n_max + 1):
+        for j in range(n_max + 1):
+            assert abs(matrix[i, j] - oracle_mass_entry(order, i, j)) <= 1e-14 * m00
 
 
 def test_oracle_a_inner_values():
