@@ -3,10 +3,16 @@
 In the normalized basis the stiffness matrix is the identity, so the discrete
 eigenproblem is carried entirely by the mass matrix.  Entries with odd index
 sum vanish identically (parity), which splits the matrix into independent
-even and odd blocks; for integer ``alpha`` the reciprocal-gamma factors kill
-everything beyond a fixed band as well.  Assembly therefore builds the two
-parity blocks and nothing else; the full matrix is composed from them only
-on request.
+even and odd blocks.  Every entry factors as
+
+    M_ij = K * h_i * h_j * Q((i+j)/2) * U((j-i)/2),
+
+a constant, a per-index term, a term of the index sum and one of the index
+difference.  ``Q`` and ``U`` are running products of rational factors, so a
+block needs no special function beyond the three ``lgamma`` values in ``K``.
+For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
+each block is banded and only its band is stored.  The dense blocks and the
+full matrix are composed from the stored blocks only on request.
 """
 
 from __future__ import annotations
@@ -16,28 +22,37 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import (
-    FractionalOrder,
-    _LOG_2,
-    _LOG_PI,
-    _recip_gamma_signed_parts,
-    basis_coeff,
-)
+from .specfun import FractionalOrder, basis_coeff
 from .quadrature import oracle_a_inner
 
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass", "stiffness_check"]
 
 
+def _is_banded(order: FractionalOrder) -> bool:
+    return order.alpha.is_integer()
+
+
 @dataclass(frozen=True, eq=False)
 class MassMatrix:
-    """Symmetric positive-definite mass matrix, stored as its two parity blocks."""
+    """Symmetric positive-definite mass matrix, stored as its two parity blocks.
+
+    For integer ``alpha`` (``banded``) each block has ``w = min(alpha, size - 1)``
+    superdiagonals, and ``even``/``odd`` hold it in LAPACK upper-band storage,
+    ``band[w + p - q, q] = block[p, q]``.  Otherwise they hold the dense
+    blocks.  ``even_block``, ``odd_block`` and ``entries`` are the dense
+    read-only views, composed on first access.
+    """
 
     order: FractionalOrder
     n_max: int
-    even_block: np.ndarray
-    odd_block: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def banded(self) -> bool:
+        return _is_banded(self.order)
 
     @property
     def even_indices(self) -> np.ndarray:
@@ -46,6 +61,14 @@ class MassMatrix:
     @property
     def odd_indices(self) -> np.ndarray:
         return np.arange(1, self.n_max + 1, 2)
+
+    @cached_property
+    def even_block(self) -> np.ndarray:
+        return _dense_from_band(self.even) if self.banded else self.even
+
+    @cached_property
+    def odd_block(self) -> np.ndarray:
+        return _dense_from_band(self.odd) if self.banded else self.odd
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -57,36 +80,82 @@ class MassMatrix:
         return full
 
 
-def _entry_values(alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Closed-form entries for integer index pairs with even ``i + j`` and ``i <= j``.
+def _two_sum(a, b):
+    """``a + b`` rounded, and the exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
-    Every special-function term depends on the index alone, on the sum
-    ``i + j`` or on the difference ``d = (j - i)/2``, so each is evaluated
-    once on the grid ``k = 0..max(i + j)`` and gathered per entry.  The
-    magnitude is assembled from log-gamma values; the sign is ``(-1)^d``
-    times the signs of the two reciprocal-gamma factors, which vanish exactly
-    at nonpositive integer arguments (the source of the integer-``alpha``
-    band structure).
+
+def _product_error(a, b, p):
+    """The exact error ``a*b - p`` of the rounded product ``p`` (Dekker's TwoProduct)."""
+
+    def split(x):  # Veltkamp: two halves of at most 26 significant bits
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    ah, al = split(a)
+    bh, bl = split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _ratio_cumprod(num, num_err, den, den_err) -> np.ndarray:
+    """Running products ``1, r_0, r_0 r_1, ...`` of ``r_k = (num + num_err) / (den + den_err)``.
+
+    ``num_err`` and ``den_err`` are the exact rounding errors of ``num`` and
+    ``den``.  Each division and each multiplication of the plain ``cumprod``
+    is measured exactly by an error-free transformation; the running sum of
+    these relative errors corrects every product once at the end, so each
+    comes out within a few ulps however long the run (a compensated product).
+    """
+    ratio = num / den
+    p = ratio * den
+    residual = (num - p) - _product_error(ratio, den, p) + num_err - ratio * den_err
+    rel = np.divide(residual, num, out=np.zeros_like(num), where=num != 0.0)
+    prod = np.cumprod(np.concatenate(([1.0], ratio)))
+    step = _product_error(prod[:-1], ratio, prod[1:])
+    rel += np.divide(step, prod[1:], out=np.zeros_like(step),
+                     where=np.abs(prod[1:]) >= np.finfo(float).tiny)
+    return prod + prod * np.concatenate(([0.0], np.cumsum(rel)))
+
+
+def _entry_tables(alpha: float, m_max: int):
+    """``K`` and the tables ``h[0..2 m_max]``, ``Q[0..m_max]``, ``U[0..m_max]``.
+
+    ``h_i = sqrt(2i + 2 alpha + 1)``; ``Q(m+1)/Q(m) = (2m+1)/(2m + 4 alpha + 3)``
+    and ``U(d+1)/U(d) = (d - alpha)/(d + alpha + 1)`` with ``Q(0) = U(0) = 1``;
+    ``K = Gamma(alpha + 1/2) / (2 Gamma(alpha + 1) Gamma(2 alpha + 3/2))``.  The
+    recurrences follow from the gamma-ratio closed form by Legendre's
+    duplication formula; ``U`` carries the sign ``(-1)^d`` and, for integer
+    ``alpha``, the exact zeros past ``d = alpha``.
+    """
+    k = 0.5 * math.exp(
+        math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 1.5)
+    )
+    h = np.sqrt(2.0 * np.arange(2 * m_max + 1.0) + 2.0 * alpha + 1.0)
+    m = np.arange(float(m_max))
+    c, c_err = _two_sum(4.0 * alpha, 3.0)
+    den, den_err = _two_sum(2.0 * m, c)
+    q = _ratio_cumprod(2.0 * m + 1.0, np.zeros_like(m), den, den_err + c_err)
+    num, num_err = _two_sum(m, -alpha)
+    c, c_err = _two_sum(alpha, 1.0)
+    den, den_err = _two_sum(m, c)
+    u = _ratio_cumprod(num, num_err, den, den_err + c_err)
+    u += 0.0  # the band zeros of integer alpha come out of cumprod as +-0.0; keep +0.0
+    return k, h, q, u
+
+
+def _entry_values(alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Entries ``K h_i h_j Q((i+j)/2) U(|j-i|/2)`` for broadcastable index arrays.
+
+    The indices are integers with even ``i + j``.  This serves ``mass_entry``
+    and the band of integer-``alpha`` blocks; ``_dense_block`` takes the same
+    factors in the same order, so all three agree bit for bit.
     """
     s = i + j
-    d = (j - i) // 2
-    k = np.arange(s.max(initial=0) + 1.0)
-    log_index = np.log(2.0 * k + 2.0 * alpha + 1.0)
-    s1, lg1 = _recip_gamma_signed_parts(alpha - k + 1.0)
-    s2, lg2 = _recip_gamma_signed_parts(alpha + k + 1.0)
-    sign = (np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * s1 * s2)[d]
-    log_mag = (
-        0.5 * (_LOG_PI + log_index[i] + log_index[j])
-        + math.lgamma(2.0 * alpha + 1.0)
-        + gammaln(k + 1.0)[s]
-        - (2.0 * alpha + i + j + 1.0) * _LOG_2
-        - gammaln(2.0 * alpha + k / 2.0 + 1.5)[s]
-        - gammaln(k / 2.0 + 1.0)[s]
-        + lg1[d]
-        + lg2[d]
-    )
-    # vanished-sign entries must come out as a clean +0.0
-    return np.where(sign == 0.0, 0.0, sign * np.exp(log_mag))
+    k, h, q, u = _entry_tables(alpha, int(np.max(s, initial=0)) // 2)
+    return k * (h[i] * h[j]) * q[s // 2] * u[np.abs(j - i) // 2]
 
 
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
@@ -95,17 +164,48 @@ def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
         raise ValueError("indices must be nonnegative")
     if (i + j) % 2 == 1:
         return 0.0
-    lo, hi = (i, j) if i <= j else (j, i)
-    return float(_entry_values(order.alpha, np.array([lo]), np.array([hi]))[0])
+    return float(_entry_values(order.alpha, np.array([i]), np.array([j]))[0])
 
 
-def _parity_block(alpha: float, indices: np.ndarray) -> np.ndarray:
-    """The block of the mass matrix on ``indices`` (all of one parity)."""
-    a, b = np.triu_indices(indices.size)
-    values = _entry_values(alpha, indices[a], indices[b])
-    block = np.empty((indices.size, indices.size))
-    block[a, b] = values
-    block[b, a] = values
+def _dense_block(alpha: float, indices: np.ndarray) -> np.ndarray:
+    """The dense block on ``indices`` (all of one parity), as ``_entry_values`` gives it.
+
+    Within a block the sum term is a Hankel and the difference term a
+    Toeplitz matrix; both are strided views of the tables, so nothing is
+    gathered entry by entry.  Every factor is symmetric, and so is the block,
+    exactly.
+    """
+    n = indices.size
+    if n == 0:
+        return np.zeros((0, 0))
+    k, h, q, u = _entry_tables(alpha, int(indices[-1]))
+    hankel = sliding_window_view(q[indices[0]:], n)
+    toeplitz = sliding_window_view(np.concatenate((u[n - 1:0:-1], u[:n])), n)[::-1]
+    block = np.outer(h[indices], h[indices])
+    block *= k
+    block *= hankel
+    block *= toeplitz
+    block.setflags(write=False)
+    return block
+
+
+def _band_block(alpha: float, indices: np.ndarray) -> np.ndarray:
+    """Upper-band storage of the block on ``indices`` for integer ``alpha``."""
+    w = min(int(alpha), max(indices.size - 1, 0))
+    offset = np.arange(w, -1, -1)[:, None]  # the superdiagonal each storage row holds
+    col = np.arange(indices.size)
+    row = np.maximum(col - offset, 0)
+    band = np.where(col >= offset, _entry_values(alpha, indices[row], indices[col]), 0.0)
+    band.setflags(write=False)
+    return band
+
+
+def _dense_from_band(band: np.ndarray) -> np.ndarray:
+    w, n = band.shape[0] - 1, band.shape[1]
+    block = np.zeros((n, n))
+    for offset in range(w + 1):
+        p = np.arange(n - offset)
+        block[p, p + offset] = block[p + offset, p] = band[w - offset, offset:]
     block.setflags(write=False)
     return block
 
@@ -113,16 +213,18 @@ def _parity_block(alpha: float, indices: np.ndarray) -> np.ndarray:
 def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     """Assemble the even and odd parity blocks of the mass matrix.
 
-    Each entry is an independent O(1) evaluation; the upper triangle of each
-    block is computed vectorized once and mirrored, so the blocks are exactly
-    symmetric.  The odd-sum entries between the blocks are exact zeros and
-    are not stored.
+    A dense block is the elementwise product of the per-index outer product,
+    a Hankel view of ``Q`` and a Toeplitz view of ``U``, built in O(N^2)
+    flops with no per-entry special function.  For integer ``alpha`` only the
+    band is evaluated and stored, O(N alpha) entries.  The odd-sum entries
+    between the blocks are exact zeros and are not stored.
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    even_block = _parity_block(order.alpha, np.arange(0, n_max + 1, 2))
-    odd_block = _parity_block(order.alpha, np.arange(1, n_max + 1, 2))
-    return MassMatrix(order, n_max, even_block, odd_block)
+    build = _band_block if _is_banded(order) else _dense_block
+    even = build(order.alpha, np.arange(0, n_max + 1, 2))
+    odd = build(order.alpha, np.arange(1, n_max + 1, 2))
+    return MassMatrix(order, n_max, even, odd)
 
 
 def stiffness_check(order: FractionalOrder, n_max: int) -> float:

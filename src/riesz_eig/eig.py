@@ -6,7 +6,9 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently and merged.  The spectral studies need only the eigenvalues, so
 ``solve`` computes values alone; the coefficient vectors are computed the
-first time a caller reads them.
+first time a caller reads them.  For integer ``alpha`` the blocks are banded
+and both the values and the vectors come from LAPACK's banded drivers on the
+stored band; no dense block is formed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .assembly import assemble_mass
 from .specfun import FractionalOrder, JacobiWeightPair, _boundary_weight, _jacobi_all, basis_coeff
@@ -51,20 +54,18 @@ class EigenSolution:
         of each vector is positive, making the output deterministic.
         """
         mass = assemble_mass(self.order, self.n_max)
-        blocks = ((mass.even_indices, mass.even_block), (mass.odd_indices, mass.odd_block))
+        decompose = _band_eig if mass.banded else sym_eig
+        blocks = ((mass.even_indices, mass.even), (mass.odd_indices, mass.odd))
         parities = np.array(self.parities)
         vectors = np.zeros((self.n_max + 1, self.n_max + 1))
-        for tag, (indices, block) in zip(_PARITIES, blocks):
+        for tag, (indices, stored) in zip(_PARITIES, blocks):
             if indices.size == 0:
                 continue
-            mu, vecs = sym_eig(block)
-            if not mu[0] > 0.0:
-                raise RuntimeError(
-                    f"nonpositive mass eigenvalue {mu[0]:.3e} from the full decomposition of "
-                    f"the {tag} block (N={self.n_max}, 2a={self.order.two_alpha:g}): it lies "
-                    f"below the rounding level eps*mu_max = {_EPS * mu[-1]:.3e}, and the "
-                    "eigenvectors need the small end that the full decomposition loses"
-                )
+            mu, vecs = decompose(stored)
+            _check_block_mu(
+                mu, tag, self.order, self.n_max,
+                "the eigenvectors need the small end that the full decomposition loses",
+            )
             # Within a block the merge keeps the descending-mu order, so the
             # k-th row of this parity takes the k-th vector of the block.
             rows = np.flatnonzero(parities == tag)
@@ -86,11 +87,17 @@ def _symmetric_eig(matrix, solver):
     asym = np.max(np.abs(m - m.T)) if m.size else 0.0
     if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}")
+    return _converged(solver, m)
+
+
+def _converged(solver, m):
+    """``solver(m)``, with LAPACK non-convergence raised as a diagnosed ``RuntimeError``."""
     try:
         return solver(m)
     except np.linalg.LinAlgError as exc:
+        scale = np.max(np.abs(m)) if m.size else 0.0
         raise RuntimeError(
-            f"symmetric eigensolve failed to converge (dim {m.shape[0]}, scale {scale:.3e})"
+            f"symmetric eigensolve failed to converge (dim {m.shape[-1]}, scale {scale:.3e})"
         ) from exc
 
 
@@ -110,46 +117,67 @@ def _sym_eigvals(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, checked as in ``sym_eig``.
 
     Backed by ``numpy.linalg.eigvalsh``, LAPACK ``syevd`` without vectors,
-    whose tridiagonal stage is the root-free QR iteration ``sterf``.  It
-    keeps the small end of the graded mass blocks that the full
-    decomposition loses.
+    whose tridiagonal stage is the root-free QR iteration ``sterf``.  On the
+    graded mass blocks it keeps more of the small end than the full
+    decomposition does, but no driver does better than the Demmel-Veselic
+    level ``eps * kappa_s`` (``kappa_s`` the condition number of the
+    diagonally scaled block): the small eigenvalues are accurate only while
+    that is small.
     """
     return _symmetric_eig(matrix, np.linalg.eigvalsh)
+
+
+def _band_eigvals(band: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a block in LAPACK upper-band storage (``sbevd``)."""
+    return _converged(scipy.linalg.eigvals_banded, band)
+
+
+def _band_eig(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending values and orthonormal vectors of a banded block (``sbevd``)."""
+    return _converged(scipy.linalg.eig_banded, band)
+
+
+def _check_block_mu(mu, tag, order, n_max, lost):
+    """Raise a named error unless the ascending block spectrum ``mu`` is positive and normal."""
+    where = f"N={n_max}, 2a={order.two_alpha:g}"
+    if mu[-1] < _TINY:
+        raise RuntimeError(
+            f"every entry of the {tag} block underflows in double precision: its largest "
+            f"mass eigenvalue {mu[-1]:.3e} lies below the smallest normal double "
+            f"{_TINY:.3e} ({where})"
+        )
+    # A subnormal small end can round to either sign; it is underflow, not a lost end.
+    if abs(mu[0]) < _TINY:
+        raise RuntimeError(
+            f"the small end of the {tag} block underflows: its smallest mass eigenvalue "
+            f"{mu[0]:.3e} falls below the normal double range (smallest normal "
+            f"{_TINY:.3e}) ({where})"
+        )
+    if mu[0] < 0.0:
+        raise RuntimeError(
+            f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block ({where}): it "
+            f"lies below the rounding level eps*mu_max = {_EPS * mu[-1]:.3e}, so {lost}"
+        )
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
     Each parity block of the mass matrix is solved for its eigenvalues
-    alone; their reciprocals are merged and sorted ascending, with ties
-    broken even-before-odd and then by within-block position.  No vector is
+    alone (``eigvals_banded`` on the stored band for integer ``alpha``,
+    ``eigvalsh`` otherwise); their reciprocals are merged and sorted
+    ascending, with ties broken even-before-odd and then by within-block
+    position.  No vector is
     computed here (see ``EigenSolution.vectors``).
     """
     mass = assemble_mass(order, n_max)
+    eigvals = _band_eigvals if mass.banded else _sym_eigvals
     parts = []
-    for tag, block in zip(_PARITIES, (mass.even_block, mass.odd_block)):
-        mu = _sym_eigvals(block)
-        if mu.size == 0:  # the odd block at N = 0
-            parts.append(mu)
-            continue
-        where = f"N={n_max}, 2a={order.two_alpha:g}"
-        if mu[-1] < _TINY:
-            raise RuntimeError(
-                f"every entry of the {tag} block underflows in double precision: its largest "
-                f"mass eigenvalue {mu[-1]:.3e} lies below the smallest normal double "
-                f"{_TINY:.3e} ({where})"
-            )
-        if mu[0] <= 0.0:
-            raise RuntimeError(
-                f"nonpositive mass eigenvalue {mu[0]:.3e} in the {tag} block ({where}): it "
-                f"lies below the rounding level eps*mu_max = {_EPS * mu[-1]:.3e}, so the "
-                "eigensolver has lost the small end of this graded block"
-            )
-        if mu[0] < _TINY:
-            raise RuntimeError(
-                f"the small end of the {tag} block underflows: its smallest mass eigenvalue "
-                f"{mu[0]:.3e} falls below the normal double range (smallest normal "
-                f"{_TINY:.3e}) ({where})"
+    for tag, stored in zip(_PARITIES, (mass.even, mass.odd)):
+        mu = eigvals(stored)
+        if mu.size:  # the odd block is empty at N = 0
+            _check_block_mu(
+                mu, tag, order, n_max, "the eigensolver has lost the small end of this graded block"
             )
         # mu ascending -> lambda = 1/mu descending; reverse so the within-block
         # position counts in ascending-lambda order.

@@ -1,9 +1,10 @@
 """Special-function layer: gamma ratios, Jacobi polynomials and the singular basis.
 
 Everything downstream (quadrature rules, matrix entries, norms) is a ratio of
-gamma functions times a polynomial value.  Ratios are always assembled in the
-log domain with explicit sign tracking so that large indices never overflow
-and reciprocals of Gamma at nonpositive arguments come out as exact zeros.
+gamma functions times a polynomial value.  The norms and scales here are
+assembled in the log domain so that large indices never overflow; the mass
+entries (``assembly``) reduce their gamma ratios to running products of
+rational factors instead.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "FractionalOrder",
@@ -26,7 +26,6 @@ __all__ = [
     "tail_seminorm_sq",
 ]
 
-_LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
 
 
@@ -83,39 +82,6 @@ def _formal_weight_pair(a: float, b: float) -> JacobiWeightPair:
     object.__setattr__(pair, "a", float(a))
     object.__setattr__(pair, "b", float(b))
     return pair
-
-
-def _recip_gamma_signed_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``1 / Gamma(x)`` for any real array ``x``, as arrays of signs and log magnitudes.
-
-    At nonpositive integers the reciprocal is an exact zero (sign 0, log
-    magnitude ``-inf``).  For negative non-integer arguments the reflection
-    identity ``Gamma(x) * Gamma(1-x) = pi / sin(pi*x)`` supplies both sign and
-    magnitude without evaluating Gamma at a negative point; ``sin(pi*x)`` is
-    taken after exact reduction to ``|x - round(x)| <= 1/2``, so accuracy
-    holds far out on the negative axis.
-    """
-    x = np.asarray(x, dtype=float)
-    sign = np.ones_like(x)
-    log_mag = np.empty_like(x)
-
-    pos = x > 0
-    log_mag[pos] = -gammaln(x[pos])
-
-    neg = ~pos
-    at_pole = neg & (x == np.floor(x))
-    sign[at_pole] = 0.0
-    log_mag[at_pole] = -np.inf
-
-    refl = neg & ~at_pole
-    if np.any(refl):
-        xr = x[refl]
-        r = np.round(xr)
-        s = np.sin(np.pi * (xr - r))
-        s[r % 2 != 0] *= -1.0
-        sign[refl] = np.where(s > 0, 1.0, -1.0)
-        log_mag[refl] = gammaln(1.0 - xr) + np.log(np.abs(s)) - _LOG_PI
-    return sign, log_mag
 
 
 def jacobi_eval(params: JacobiWeightPair, n: int, x):

@@ -1,13 +1,13 @@
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
-import riesz_eig.assembly
 from riesz_eig.assembly import assemble_mass, mass_entry, stiffness_check
 from riesz_eig.quadrature import oracle_mass_entry
-from riesz_eig.specfun import _LOG_2, _LOG_PI, FractionalOrder, _recip_gamma_signed_parts
+from riesz_eig.specfun import FractionalOrder
 
 
 def closed_form_m00(two_alpha: float) -> float:
@@ -78,6 +78,17 @@ def test_integer_alpha_bandedness(two_alpha):
                 assert mass.entries[i, j] != 0.0
 
 
+def test_banded_mass_holds_only_the_band():
+    # 2a = 2: one superdiagonal per block, O(N) bytes; dense views on request only
+    mass = assemble_mass(FractionalOrder(2.0), 2048)
+    assert mass.banded
+    assert mass.even.shape == (2, 1025) and mass.odd.shape == (2, 1024)
+    assert mass.even.nbytes + mass.odd.nbytes == 2 * 2049 * 8
+    assert not {"even_block", "odd_block", "entries"} & set(vars(mass))
+    assert mass.even_block[1, 0] == mass.even_block[0, 1] == mass.even[0, 1]
+    assert not assemble_mass(FractionalOrder(2.1), 8).banded
+
+
 def test_scalar_entry_matches_assembled_grid():
     order = FractionalOrder(1.3)
     mass = assemble_mass(order, 16)
@@ -86,66 +97,77 @@ def test_scalar_entry_matches_assembled_grid():
             assert mass.entries[i, j] == mass_entry(order, i, j)
 
 
-def per_entry_values(alpha, i, j):
-    """The closed form evaluated term by term for every entry (float ``i <= j``)."""
-    d = (j - i) / 2.0
-    s1, lg1 = _recip_gamma_signed_parts(alpha - d + 1.0)
-    s2, lg2 = _recip_gamma_signed_parts(alpha + d + 1.0)
-    sign = np.where(np.mod(d, 2.0) == 0.0, 1.0, -1.0) * s1 * s2
-    log_mag = (
-        0.5 * (_LOG_PI + np.log(2.0 * i + 2.0 * alpha + 1.0) + np.log(2.0 * j + 2.0 * alpha + 1.0))
-        + math.lgamma(2.0 * alpha + 1.0)
-        + gammaln(i + j + 1.0)
-        - (2.0 * alpha + i + j + 1.0) * _LOG_2
-        - gammaln(2.0 * alpha + (i + j) / 2.0 + 1.5)
-        - gammaln((i + j) / 2.0 + 1.0)
-        + lg1
-        + lg2
-    )
-    return np.where(sign == 0.0, 0.0, sign * np.exp(log_mag))
+# The closed form in 30-digit mpmath, straight from the gamma ratios (no
+# duplication formula, no recurrence):
+#   M_ij = sqrt(pi) h_i h_j Gamma(2a+1) Gamma(s+1) (-1)^d
+#          / (2^(2a+s+1) Gamma(2a+s/2+3/2) Gamma(s/2+1) Gamma(a-d+1) Gamma(a+d+1)),
+# with a = alpha, s = i + j, d = |j - i|/2 and h_i = sqrt(2i+2a+1).
+@lru_cache(maxsize=None)
+def closed_form_tables(alpha, n_max):
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        h = [mp.sqrt(2 * i + 2 * a + 1) for i in range(n_max + 1)]
+        by_sum = [
+            mp.sqrt(mp.pi) * mp.gamma(2 * a + 1) * mp.gamma(2 * m + 1)
+            / (mp.mpf(2) ** (2 * a + 2 * m + 1) * mp.gamma(2 * a + m + 1.5) * mp.gamma(m + 1))
+            for m in range(n_max + 1)
+        ]
+        by_diff = [(-1) ** d * mp.rgamma(a - d + 1) * mp.rgamma(a + d + 1) for d in range(n_max + 1)]
+    return (np.array(h, dtype=object), np.array(by_sum, dtype=object),
+            np.array(by_diff, dtype=object))
 
 
-def per_entry_block(alpha, indices):
-    a, b = np.triu_indices(indices.size)
-    values = per_entry_values(alpha, indices[a].astype(float), indices[b].astype(float))
-    block = np.empty((indices.size, indices.size))
-    block[a, b] = values
-    block[b, a] = values
-    return block
+def closed_form_entries(alpha, n_max, i, j):
+    """High-precision entries at integer index arrays with even ``i + j``, as (hi, lo) doubles."""
+    h, by_sum, by_diff = closed_form_tables(alpha, n_max)
+    with mp.workdps(30):
+        exact = h[i] * h[j] * by_sum[(i + j) // 2] * by_diff[np.abs(j - i) // 2]
+        hi = exact.astype(float)
+        lo = (exact - hi).astype(float)
+    return hi, lo
+
+
+def relative_error(values, alpha, n_max, i, j):
+    """``|values / M - 1|`` against the closed form; exact zeros must be +0.0."""
+    hi, lo = closed_form_entries(alpha, n_max, i, j)
+    zero = hi == 0.0
+    assert np.all(values[zero] == 0.0) and not np.any(np.signbit(values[zero]))
+    return np.abs(((values - hi) - lo)[~zero] / hi[~zero])
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 48, 256])
 @pytest.mark.parametrize("two_alpha", [0.37, 1.3, 2.0, 4.97, 8.0])
 def test_tabulated_terms_match_per_entry_formula(two_alpha, n_max):
-    # gathering the terms from O(N) tables must not change a single bit
+    # the recurrence tables give every entry to within a few ulps of the
+    # closed form, band zeros included
     order = FractionalOrder(two_alpha)
     mass = assemble_mass(order, n_max)
     for block, start in ((mass.even_block, 0), (mass.odd_block, 1)):
-        expected = per_entry_block(order.alpha, np.arange(start, n_max + 1, 2))
-        assert np.array_equal(block, expected)
-        assert np.array_equal(np.signbit(block), np.signbit(expected))
+        idx = np.arange(start, n_max + 1, 2)
+        err = relative_error(block, order.alpha, n_max, idx[:, None], idx[None, :])
+        assert err.size == 0 or err.max() <= 1e-14
     sample = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max} & set(range(n_max + 1)))
     for i in sample:
         for j in sample:
-            assert mass_entry(order, i, j) == mass.entries[i, j]
+            value = mass_entry(order, i, j)
+            assert value == mass.entries[i, j]
+            assert np.signbit(value) == np.signbit(mass.entries[i, j])
 
 
-def test_special_functions_see_only_linear_tables(monkeypatch):
-    n_max = 256
-    sizes = []
-
-    def recording(fn):
-        def wrapped(x):
-            sizes.append(np.size(x))
-            return fn(x)
-        return wrapped
-
-    monkeypatch.setattr(riesz_eig.assembly, "gammaln", recording(gammaln))
-    monkeypatch.setattr(
-        riesz_eig.assembly, "_recip_gamma_signed_parts", recording(_recip_gamma_signed_parts)
-    )
-    assemble_mass(FractionalOrder(1.6), n_max)
-    assert sizes and max(sizes) <= 2 * n_max + 1
+@pytest.mark.parametrize("two_alpha", [1.6, 3.6])
+def test_sampled_entries_accurate_at_large_degree(two_alpha):
+    # the error of the running products does not grow with the degree: the
+    # same 1e-14 holds at N = 2048 (measured: 1.0e-15 and 5.0e-16)
+    n_max = 2048
+    rng = np.random.default_rng(2048)
+    i = rng.integers(0, n_max + 1, 200)
+    j = rng.integers(0, n_max + 1, 200)
+    j -= (i + j) % 2
+    i = np.concatenate((i, [0, 0, n_max, n_max - 1]))
+    j = np.concatenate((j, [n_max, 0, n_max, 1]))
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    err = relative_error(mass.entries[i, j], two_alpha / 2, n_max, i, j)
+    assert err.max() <= 1e-14
 
 
 @pytest.mark.parametrize("two_alpha", [0.5, 1.3, 2.6])

@@ -253,6 +253,32 @@ def test_eig_partial_underflow_is_an_error(capsys, two_alpha, n):
     assert f"(N={n}, 2a={two_alpha})" in lines[0]
 
 
+def test_eig_subnormal_small_end_is_underflow(capsys):
+    # eigvalsh rounds the underflowed small end to -4.941e-324, the smallest
+    # subnormal: that is underflow, not a lost small end
+    assert run(["eig", "--two-alpha", "160", "--n", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "the small end of the even block underflows" in lines[0]
+    assert "(N=40, 2a=160)" in lines[0]
+    assert "lost the small end" not in lines[0]
+
+
+def test_eig_names_lost_small_end(capsys):
+    # the smallest mu (about -8e-46) is normal but below eps*mu_max
+    assert run(["eig", "--two-alpha", "12", "--n", "600"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "nonpositive mass eigenvalue" in lines[0]
+    assert "in the even block (N=600, 2a=12)" in lines[0]
+    assert "the eigensolver has lost the small end" in lines[0]
+    assert "underflow" not in lines[0]
+
+
 def test_stdout_output(capsys):
     assert run(["eig", "--two-alpha", "2.0", "--n", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,12 @@
+import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import riesz_eig.assembly
 import riesz_eig.eig
 from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
 from riesz_eig.assembly import assemble_mass
@@ -173,12 +177,11 @@ def test_graded_block_values_succeed_but_vectors_name_lost_small_end():
     assert "eigenvectors need the small end that the full decomposition loses" in message
 
 
-# Smallest eigenvalue of the even parity block at 2a = 8, N = 128, as assembled
-# in double precision (65 x 65).  Derivation: mpmath.eigsy on
-# mpmath.matrix(assemble_mass(FractionalOrder(8.0), 128).even_block.tolist())
-# at mp.dps = 60, i.e. the exact spectrum of the same double matrix.  The
-# full decomposition (numpy.linalg.eigh) puts it about 16% too high.
-MU_MIN_8_128_EVEN = 2.2076628431594825415e-25
+# Smallest eigenvalue of the even parity block at 2a = 8, N = 128, of the
+# exact discrete problem: 1 / lambda_max of the "8.0/128" spectrum in
+# bench/reference.json (mpmath, assembled without the package).  The even
+# block holds lambda_max since N is even.
+MU_MIN_8_128_EVEN = 2.2076879220738654394e-25
 
 
 def test_smallest_mu_matches_high_precision_spectrum():
@@ -186,6 +189,96 @@ def test_smallest_mu_matches_high_precision_spectrum():
     even = np.array(sol.parities) == "even"
     mu_min = 1.0 / sol.lambdas[even][-1]
     assert abs(mu_min - MU_MIN_8_128_EVEN) <= 1e-7 * MU_MIN_8_128_EVEN
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "two_alpha, rtol",
+    [(8.0, 1e-7), (5.6, 1e-9), (3.6, 5e-11), (1.2, 1e-12), (1.6, 1e-12), (2.0, 1e-12)],
+)
+def test_full_spectrum_matches_reference(two_alpha, rtol):
+    # every eigenvalue at N = 128 against the mpmath spectra of the benchmark
+    spectra = json.loads(REFERENCE.read_text())["spectra"]
+    expected = np.array([float(x) for x in spectra[f"{two_alpha:.1f}/128"]])
+    lambdas = solve(FractionalOrder(two_alpha), 128).lambdas
+    assert np.max(np.abs(lambdas / expected - 1.0)) <= rtol
+
+
+def exact_banded_spectrum(alpha, n_max):
+    """Ascending lambdas of both parity blocks, closed form and ``eigsy`` at 50 digits."""
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+
+        def entry(i, j):
+            s, d = i + j, abs(j - i) // 2
+            if d > alpha:  # 1/Gamma(alpha - d + 1) vanishes
+                return mp.mpf(0)
+            return (
+                mp.sqrt(mp.pi * (2 * i + 2 * a + 1) * (2 * j + 2 * a + 1))
+                * mp.gamma(2 * a + 1) * mp.gamma(s + 1) * (-1) ** d
+                / (mp.mpf(2) ** (2 * a + s + 1) * mp.gamma(2 * a + s // 2 + 1.5)
+                   * mp.gamma(s // 2 + 1) * mp.gamma(a - d + 1) * mp.gamma(a + d + 1))
+            )
+
+        mus = []
+        for start in (0, 1):
+            idx = range(start, n_max + 1, 2)
+            block = mp.matrix([[entry(i, j) for j in idx] for i in idx])
+            mus += [mu for (mu,) in mp.eigsy(block, eigvals_only=True).tolist()]
+        return np.sort([float(1 / mu) for mu in mus])
+
+
+# Measured: 1.5e-13, 1.9e-11, 6.4e-10.  At 2a = 2 the blocks are tridiagonal
+# and sterf (the same values as dense eigvalsh) is not relatively accurate:
+# scaling the even block by 1 + k*eps, |k| <= 4, moves its error between
+# 1.6e-14 and 1.5e-13, so the bound there sits above that spread.
+@pytest.mark.parametrize("two_alpha, rtol", [(2.0, 2e-13), (4.0, 1e-10), (6.0, 1e-8)])
+def test_banded_spectrum_matches_high_precision(two_alpha, rtol):
+    expected = exact_banded_spectrum(two_alpha / 2, 128)
+    lambdas = solve(FractionalOrder(two_alpha), 128).lambdas
+    assert np.max(np.abs(lambdas / expected - 1.0)) <= rtol
+
+
+@pytest.mark.parametrize("n_max", [1024, 2048])
+def test_banded_values_equal_dense_values(n_max):
+    order = FractionalOrder(2.0)
+    mass = assemble_mass(order, n_max)
+    blocks = (mass.even_block, mass.odd_block)
+    expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
+    np.testing.assert_array_equal(solve(order, n_max).lambdas, expected)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+@pytest.mark.parametrize("two_alpha", [2.0, 4.0, 6.0])
+def test_banded_small_degrees(two_alpha, n_max):
+    # empty odd block at N = 0; band width alpha >= block size from 2a = 4 on
+    order = FractionalOrder(two_alpha)
+    mass = assemble_mass(order, n_max)
+    for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
+        assert stored.shape == (min(int(order.alpha), max(size - 1, 0)) + 1, size)
+    blocks = [b for b in (mass.even_block, mass.odd_block) if b.size]
+    expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
+    sol = solve(order, n_max)
+    np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-14, atol=0.0)
+    v, m = sol.vectors, mass.entries
+    np.testing.assert_allclose(v @ m @ v.T, np.eye(n_max + 1), rtol=0.0, atol=1e-14)
+    residual = np.linalg.norm(m @ v.T * sol.lambdas - v.T, axis=0)
+    assert np.all(residual <= 1e-14 * np.linalg.norm(v, axis=1))
+
+
+def test_banded_paths_never_form_a_dense_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense block formed on the banded path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(riesz_eig.assembly, "_dense_from_band", refuse)
+    for two_alpha, n_max in ((2.0, 256), (4.0, 255)):
+        sol = solve(FractionalOrder(two_alpha), n_max)
+        assert np.all(np.diff(sol.lambdas) > 0)
+        assert sol.vectors.shape == (n_max + 1, n_max + 1)
 
 
 def test_parity_alternation_and_tags():

@@ -7,7 +7,6 @@ from scipy.special import eval_jacobi
 from riesz_eig.specfun import (
     FractionalOrder,
     JacobiWeightPair,
-    _recip_gamma_signed_parts,
     a_norm_sq_gjf,
     basis_coeff,
     gjf_eval,
@@ -45,46 +44,6 @@ def test_weight_pair_rejects_out_of_range():
         JacobiWeightPair(-1.0, 0.0)
     with pytest.raises(ValueError):
         JacobiWeightPair(0.0, -1.5)
-
-
-# ---------------------------------------------- _recip_gamma_signed_parts
-
-def recip_gamma(x):
-    sign, log_mag = _recip_gamma_signed_parts(np.asarray(x, dtype=float))
-    return sign * np.exp(log_mag)
-
-
-def test_recip_gamma_examples():
-    sign, log_mag = _recip_gamma_signed_parts(np.array([3.0, 0.0, -4.0]))
-    np.testing.assert_array_equal(sign, [1.0, 0.0, 0.0])
-    assert math.isclose(log_mag[0], -math.log(2.0), rel_tol=1e-15)
-    np.testing.assert_array_equal(recip_gamma([0.0, -4.0]), [0.0, 0.0])
-    # reflection formula: 1/Gamma(-1/2) = -1/(2 sqrt(pi))
-    assert math.isclose(recip_gamma([-0.5])[0], -1.0 / (2.0 * math.sqrt(math.pi)), rel_tol=1e-14)
-
-
-def test_recip_gamma_product_identity():
-    x = np.arange(0.1, 20.01, 0.37)
-    gamma = np.array([math.gamma(v) for v in x])
-    np.testing.assert_allclose(recip_gamma(x) * gamma, 1.0, rtol=1e-13, atol=0.0)
-
-
-def test_recip_gamma_sign_on_negative_axis():
-    # Gamma alternates sign between consecutive negative integers.
-    x = np.arange(-5.95, 0.0, 0.1)
-    x = x[x != np.floor(x)]
-    sign, _ = _recip_gamma_signed_parts(x)
-    np.testing.assert_array_equal(sign, np.where(np.floor(x) % 2 == 0, 1.0, -1.0))
-    # magnitude agrees with the reflection-formula factors
-    direct = np.array([math.gamma(1.0 - v) * math.sin(math.pi * v) / math.pi for v in x])
-    np.testing.assert_allclose(recip_gamma(x), direct, rtol=1e-12, atol=0.0)
-
-
-def test_recip_gamma_large_negative_argument():
-    # Reflection with exact argument reduction: no precision collapse far out.
-    sign, log_mag = _recip_gamma_signed_parts(np.array([-200.5]))
-    assert sign[0] == -1.0  # floor(-200.5) is odd
-    assert math.isclose(log_mag[0], math.lgamma(201.5) - math.log(math.pi), rel_tol=1e-13)
 
 
 # -------------------------------------------------------------- jacobi_eval
