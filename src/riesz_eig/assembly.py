@@ -11,8 +11,8 @@ a constant, a per-index term, a term of the index sum and one of the index
 difference.  ``Q`` and ``U`` are running products of rational factors, so a
 block needs no special function beyond the three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
-each block is banded and only its band is stored.  The dense blocks and the
-full matrix are composed from the stored blocks only on request.
+each block is banded and only its band is stored.  Its dense blocks and the
+full matrix are built only on request.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class MassMatrix:
     superdiagonals, and ``even``/``odd`` hold it in LAPACK upper-band storage,
     ``band[w + p - q, q] = block[p, q]``.  Otherwise they hold the dense
     blocks.  ``even_block``, ``odd_block`` and ``entries`` are the dense
-    read-only views, composed on first access.
+    read-only views, built on first access (banded blocks by ``_dense_block``,
+    bit for bit the entries of the band).
     """
 
     order: FractionalOrder
@@ -64,11 +65,11 @@ class MassMatrix:
 
     @cached_property
     def even_block(self) -> np.ndarray:
-        return _dense_from_band(self.even) if self.banded else self.even
+        return _dense_block(self.order.alpha, self.even_indices) if self.banded else self.even
 
     @cached_property
     def odd_block(self) -> np.ndarray:
-        return _dense_from_band(self.odd) if self.banded else self.odd
+        return _dense_block(self.order.alpha, self.odd_indices) if self.banded else self.odd
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -198,16 +199,6 @@ def _band_block(alpha: float, indices: np.ndarray) -> np.ndarray:
     band = np.where(col >= offset, _entry_values(alpha, indices[row], indices[col]), 0.0)
     band.setflags(write=False)
     return band
-
-
-def _dense_from_band(band: np.ndarray) -> np.ndarray:
-    w, n = band.shape[0] - 1, band.shape[1]
-    block = np.zeros((n, n))
-    for offset in range(w + 1):
-        p = np.arange(n - offset)
-        block[p, p + offset] = block[p + offset, p] = band[w - offset, offset:]
-    block.setflags(write=False)
-    return block
 
 
 def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .quadrature import oracle_mass_matrix
 from .specfun import FractionalOrder
 
 __all__ = [
-    "RunConfig",
     "main",
     "cmd_eig",
     "cmd_convergence",
@@ -34,22 +32,6 @@ __all__ = [
 ]
 
 SCHEMA = "riesz-eig/1"
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    two_alpha: float
-    n: int = 0
-    n_list: list[int] = field(default_factory=list)
-    reference_n: int | None = None
-    output: str | None = None
-    format: str = "csv"
-    indices: list[int] = field(default_factory=list)
-    samples: int = 257
-    vectors: bool = False
-    verify_oracle: bool = False
 
 
 def _fmt(x) -> str:
@@ -64,9 +46,13 @@ def _fmt_row(values, sep: str = ",") -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # reading the umask means setting it; put it straight back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riesz-eig-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates 0600; give the file the mode open() would
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -75,11 +61,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(config.output, text)
+        _atomic_write(args.output, text)
 
 
 def _csv(header: list[str], rows: list[str], trailer: str | None = None) -> str:
@@ -99,98 +85,85 @@ def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> lis
     return values
 
 
-def _make_order(parser: argparse.ArgumentParser, two_alpha: float) -> FractionalOrder:
-    try:
-        return FractionalOrder(two_alpha)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def cmd_eig(config: RunConfig) -> None:
+def cmd_eig(args: argparse.Namespace) -> None:
     """Eigenvalues (optionally with coefficient vectors) for one (2 alpha, N) pair."""
-    order = FractionalOrder(config.two_alpha)
-    sol = solve(order, config.n)
-    report = analysis.spectrum_report(sol)
-    if config.format == "json":
+    sol = solve(args.order, args.n)
+    if args.format == "json":
+        report = analysis.spectrum_report(sol)
         lambdas = "[" + _fmt_row(sol.lambdas, ", ") + "]"
         fields = [
             f'"schema": "{SCHEMA}"',
-            f'"two_alpha": {_fmt(config.two_alpha)}',
-            f'"N": {config.n}',
+            f'"two_alpha": {_fmt(args.two_alpha)}',
+            f'"N": {args.n}',
             f'"lambdas": {lambdas}',
             f'"condition_number": {_fmt(report.condition_number)}',
             f'"poincare_bound": {_fmt(report.poincare_bound)}',
             f'"minmax_upper": {_fmt(report.minmax_upper)}',
         ]
-        if config.vectors:
+        if args.vectors:
             rows = ("[" + _fmt_row(vec, ", ") + "]" for vec in sol.vectors)
             fields.append('"vectors": [' + ", ".join(rows) + "]")
-        _emit(config, "{" + ", ".join(fields) + "}\n")
+        _emit(args, "{" + ", ".join(fields) + "}\n")
         return
     header = ["n", "lambda"]
     table = sol.lambdas[:, None]
-    if config.vectors:
-        header += [f"c{j}" for j in range(config.n + 1)]
+    if args.vectors:
+        header += [f"c{j}" for j in range(args.n + 1)]
         table = np.column_stack([sol.lambdas, sol.vectors])
     rows = [f"{i + 1},{_fmt_row(row)}" for i, row in enumerate(table)]
-    _emit(config, _csv(header, rows))
+    _emit(args, _csv(header, rows))
 
 
-def cmd_convergence(config: RunConfig) -> None:
+def cmd_convergence(args: argparse.Namespace) -> None:
     """First-eigenvalue errors against a fine reference, one row per degree."""
-    order = FractionalOrder(config.two_alpha)
-    table = analysis.convergence_table(order, config.n_list, config.reference_n)
+    table = analysis.convergence_table(args.order, args.n_list, args.reference_n)
     rows = [f"{n},{_fmt_row((lam, err))}" for n, lam, err in table.rows]
-    _emit(config, _csv(["N", "lambda1", "error"], rows))
+    _emit(args, _csv(["N", "lambda1", "error"], rows))
 
 
-def cmd_weyl(config: RunConfig) -> None:
+def cmd_weyl(args: argparse.Namespace) -> None:
     """Eigenvalues with their growth-law ratios and the reliability flag."""
-    order = FractionalOrder(config.two_alpha)
-    report = analysis.spectrum_report(solve(order, config.n))
+    report = analysis.spectrum_report(solve(args.order, args.n))
     rows = [
         f"{i + 1},{_fmt_row(row)},{'true' if i + 1 <= report.reliable_count else 'false'}"
         for i, row in enumerate(np.column_stack([report.lambdas, report.weyl_ratios]))
     ]
-    _emit(config, _csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows))
+    _emit(args, _csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows))
 
 
-def cmd_condition(config: RunConfig) -> None:
+def cmd_condition(args: argparse.Namespace) -> None:
     """Condition number per degree, with the fitted growth exponent when possible."""
-    order = FractionalOrder(config.two_alpha)
-    sols = analysis.solve_sweep(order, config.n_list)
-    chis = [analysis.condition_number(sols[n]) for n in config.n_list]
-    rows = [f"{n},{_fmt(chi)}" for n, chi in zip(config.n_list, chis)]
+    sols = analysis.solve_sweep(args.order, args.n_list)
+    chis = [analysis.condition_number(sols[n]) for n in args.n_list]
+    rows = [f"{n},{_fmt(chi)}" for n, chi in zip(args.n_list, chis)]
     trailer = None
-    if len(config.n_list) >= 3:
-        slope = analysis._loglog_slope(config.n_list, chis)
+    if len(args.n_list) >= 3:
+        slope = analysis._loglog_slope(args.n_list, chis)
         trailer = (
-            f'# {{"schema": "{SCHEMA}", "two_alpha": {_fmt(config.two_alpha)}, '
+            f'# {{"schema": "{SCHEMA}", "two_alpha": {_fmt(args.two_alpha)}, '
             f'"slope": {_fmt(slope)}}}'
         )
-    _emit(config, _csv(["N", "chi_N"], rows, trailer))
+    _emit(args, _csv(["N", "chi_N"], rows, trailer))
 
 
-def cmd_eigfun(config: RunConfig) -> None:
+def cmd_eigfun(args: argparse.Namespace) -> None:
     """Selected eigenfunctions sampled on a uniform grid including the endpoints."""
-    order = FractionalOrder(config.two_alpha)
-    sol = solve(order, config.n)
-    xs = np.linspace(-1.0, 1.0, config.samples)
-    columns = [eval_eigenfunction(sol, index, xs) for index in config.indices]
-    header = ["x"] + [f"u_{index}" for index in config.indices]
+    sol = solve(args.order, args.n)
+    xs = np.linspace(-1.0, 1.0, args.samples)
+    columns = [eval_eigenfunction(sol, index, xs) for index in args.indices]
+    header = ["x"] + [f"u_{index}" for index in args.indices]
     rows = [_fmt_row(row) for row in np.column_stack([xs, *columns])]
-    _emit(config, _csv(header, rows))
+    _emit(args, _csv(header, rows))
 
 
-def cmd_mass(config: RunConfig) -> None:
+def cmd_mass(args: argparse.Namespace) -> None:
     """Dump the full mass matrix; optionally cross-check it against the oracle."""
-    order = FractionalOrder(config.two_alpha)
-    mass = assemble_mass(order, config.n)
-    header = [f"j{j}" for j in range(config.n + 1)]
+    mass = assemble_mass(args.order, args.n)
+    header = [f"j{j}" for j in range(args.n + 1)]
     rows = [_fmt_row(row) for row in mass.entries]
-    _emit(config, _csv(header, rows))
-    if config.verify_oracle:
-        worst = np.max(np.triu(np.abs(mass.entries - oracle_mass_matrix(order, config.n))))
+    _emit(args, _csv(header, rows))
+    if args.verify_oracle:
+        worst = np.max(np.triu(np.abs(mass.entries - oracle_mass_matrix(args.order, args.n))))
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 
 
@@ -246,40 +219,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(two_alpha=args.two_alpha, output=args.output)
-    _make_order(parser, args.two_alpha)
-    if hasattr(args, "n"):
-        if args.n < 0:
-            parser.error(f"--n must be nonnegative, got {args.n}")
-        config.n = args.n
-    if getattr(args, "n_list", None) is not None:
-        n_list = _parse_int_list(parser, args.n_list, "--n-list")
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate ``args`` in place for the ``cmd_*``: set ``args.order``, parse the lists."""
+    try:
+        args.order = FractionalOrder(args.two_alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if hasattr(args, "n") and args.n < 0:
+        parser.error(f"--n must be nonnegative, got {args.n}")
+    if hasattr(args, "n_list"):
+        args.n_list = _parse_int_list(parser, args.n_list, "--n-list")
+        if any(b <= a for a, b in zip(args.n_list, args.n_list[1:])):
             parser.error("--n-list must be strictly ascending")
-        if n_list[0] < 0:
+        if args.n_list[0] < 0:
             parser.error("--n-list entries must be nonnegative")
-        config.n_list = n_list
-    if getattr(args, "reference_n", None) is not None:
-        if config.n_list and args.reference_n <= max(config.n_list):
-            parser.error("--reference-n must exceed every entry of --n-list")
-        config.reference_n = args.reference_n
-    if hasattr(args, "format"):
-        config.format = args.format
-    if hasattr(args, "vectors"):
-        config.vectors = args.vectors
+    if hasattr(args, "reference_n") and args.reference_n <= max(args.n_list):
+        parser.error("--reference-n must exceed every entry of --n-list")
     if hasattr(args, "indices"):
-        indices = _parse_int_list(parser, args.indices, "--indices")
-        if any(i < 1 or i > config.n + 1 for i in indices):
-            parser.error(f"--indices entries must lie in [1, {config.n + 1}]")
-        config.indices = indices
-    if hasattr(args, "samples"):
-        if args.samples < 2:
-            parser.error("--samples must be at least 2 (both endpoints included)")
-        config.samples = args.samples
-    if hasattr(args, "verify_oracle"):
-        config.verify_oracle = args.verify_oracle
-    return config
+        args.indices = _parse_int_list(parser, args.indices, "--indices")
+        if any(i < 1 or i > args.n + 1 for i in args.indices):
+            parser.error(f"--indices entries must lie in [1, {args.n + 1}]")
+    if hasattr(args, "samples") and args.samples < 2:
+        parser.error("--samples must be at least 2 (both endpoints included)")
 
 
 _COMMANDS = {
@@ -295,10 +256,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _build_config(parser, args)
+    _check_args(parser, args)
     try:
-        _COMMANDS[args.command](config)
-    except (RuntimeError, ValueError, OSError) as exc:
+        _COMMANDS[args.command](args)
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"riesz-eig: error: {exc}\n")
         return 1
     return 0

@@ -6,9 +6,11 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently and merged.  The spectral studies need only the eigenvalues, so
 ``solve`` computes values alone; the coefficient vectors are computed the
-first time a caller reads them.  For integer ``alpha`` the blocks are banded
-and both the values and the vectors come from LAPACK's banded drivers on the
-stored band; no dense block is formed.
+first time a caller reads them.  ``_block_spectra`` does the per-block work
+for both: it assembles the blocks, picks the LAPACK driver from the storage and
+from whether vectors are wanted, and checks each block's spectrum.  For integer
+``alpha`` the blocks are banded and both the values and the vectors come from
+LAPACK's banded drivers on the stored band; no dense block is formed.
 """
 
 from __future__ import annotations
@@ -53,19 +55,9 @@ class EigenSolution:
         opposite parity are exact zeros.  The largest-magnitude coefficient
         of each vector is positive, making the output deterministic.
         """
-        mass = assemble_mass(self.order, self.n_max)
-        decompose = _band_eig if mass.banded else sym_eig
-        blocks = ((mass.even_indices, mass.even), (mass.odd_indices, mass.odd))
         parities = np.array(self.parities)
         vectors = np.zeros((self.n_max + 1, self.n_max + 1))
-        for tag, (indices, stored) in zip(_PARITIES, blocks):
-            if indices.size == 0:
-                continue
-            mu, vecs = decompose(stored)
-            _check_block_mu(
-                mu, tag, self.order, self.n_max,
-                "the eigenvectors need the small end that the full decomposition loses",
-            )
+        for tag, indices, mu, vecs in _block_spectra(self.order, self.n_max, vectors=True):
             # Within a block the merge keeps the descending-mu order, so the
             # k-th row of this parity takes the k-th vector of the block.
             rows = np.flatnonzero(parities == tag)
@@ -113,30 +105,6 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _symmetric_eig(matrix, np.linalg.eigh)
 
 
-def _sym_eigvals(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, checked as in ``sym_eig``.
-
-    Backed by ``numpy.linalg.eigvalsh``, LAPACK ``syevd`` without vectors,
-    whose tridiagonal stage is the root-free QR iteration ``sterf``.  On the
-    graded mass blocks it keeps more of the small end than the full
-    decomposition does, but no driver does better than the Demmel-Veselic
-    level ``eps * kappa_s`` (``kappa_s`` the condition number of the
-    diagonally scaled block): the small eigenvalues are accurate only while
-    that is small.
-    """
-    return _symmetric_eig(matrix, np.linalg.eigvalsh)
-
-
-def _band_eigvals(band: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a block in LAPACK upper-band storage (``sbevd``)."""
-    return _converged(scipy.linalg.eigvals_banded, band)
-
-
-def _band_eig(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending values and orthonormal vectors of a banded block (``sbevd``)."""
-    return _converged(scipy.linalg.eig_banded, band)
-
-
 def _check_block_mu(mu, tag, order, n_max, lost):
     """Raise a named error unless the ascending block spectrum ``mu`` is positive and normal."""
     where = f"N={n_max}, 2a={order.two_alpha:g}"
@@ -160,6 +128,43 @@ def _check_block_mu(mu, tag, order, n_max, lost):
         )
 
 
+def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
+    """Solve each nonempty parity block; yield ``(tag, indices, mu, vecs)``.
+
+    ``mu`` is the block's ascending spectrum and ``vecs`` its orthonormal
+    eigenvectors as columns, or ``None`` unless ``vectors`` is true.  The
+    driver follows the storage and the request: on the stored band of
+    integer ``alpha``, LAPACK ``sbevd`` through ``scipy.linalg.eigvals_banded``
+    or ``eig_banded``; on a dense block, ``numpy.linalg.eigvalsh`` under
+    ``sym_eig``'s checks, or ``sym_eig`` itself.  ``eigvalsh`` is ``syevd``
+    without vectors, whose tridiagonal stage is the root-free QR iteration
+    ``sterf``.  On the graded mass blocks it keeps more of the small end than
+    the full decomposition does, but no driver does better than the
+    Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the condition number
+    of the diagonally scaled block): the small eigenvalues are accurate only
+    while that is small.  Every spectrum passes ``_check_block_mu``.
+    """
+    mass = assemble_mass(order, n_max)
+    if vectors:
+        lost = "the eigenvectors need the small end that the full decomposition loses"
+    else:
+        lost = "the eigensolver has lost the small end of this graded block"
+    blocks = ((mass.even_indices, mass.even), (mass.odd_indices, mass.odd))
+    for tag, (indices, stored) in zip(_PARITIES, blocks):
+        if indices.size == 0:  # the odd block is empty at N = 0
+            continue
+        if mass.banded:
+            banded_driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
+            result = _converged(banded_driver, stored)
+        elif vectors:
+            result = sym_eig(stored)
+        else:
+            result = _symmetric_eig(stored, np.linalg.eigvalsh)
+        mu, vecs = result if vectors else (result, None)
+        _check_block_mu(mu, tag, order, n_max, lost)
+        yield tag, indices, mu, vecs
+
+
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
@@ -167,23 +172,16 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     alone (``eigvals_banded`` on the stored band for integer ``alpha``,
     ``eigvalsh`` otherwise); their reciprocals are merged and sorted
     ascending, with ties broken even-before-odd and then by within-block
-    position.  No vector is
-    computed here (see ``EigenSolution.vectors``).
+    position.  No vector is computed here (see ``EigenSolution.vectors``).
     """
-    mass = assemble_mass(order, n_max)
-    eigvals = _band_eigvals if mass.banded else _sym_eigvals
-    parts = []
-    for tag, stored in zip(_PARITIES, (mass.even, mass.odd)):
-        mu = eigvals(stored)
-        if mu.size:  # the odd block is empty at N = 0
-            _check_block_mu(
-                mu, tag, order, n_max, "the eigensolver has lost the small end of this graded block"
-            )
+    ranks, parts = [], []
+    for tag, _, mu, _ in _block_spectra(order, n_max, vectors=False):
         # mu ascending -> lambda = 1/mu descending; reverse so the within-block
         # position counts in ascending-lambda order.
+        ranks.append(_PARITIES.index(tag))
         parts.append(1.0 / mu[::-1])
     lambdas = np.concatenate(parts)
-    parity_rank = np.repeat([0, 1], [part.size for part in parts])
+    parity_rank = np.repeat(ranks, [part.size for part in parts])
     position = np.concatenate([np.arange(part.size) for part in parts])
     perm = np.lexsort((position, parity_rank, lambdas))
     lambdas = lambdas[perm]

@@ -89,6 +89,29 @@ def test_banded_mass_holds_only_the_band():
     assert not assemble_mass(FractionalOrder(2.1), 8).banded
 
 
+def scatter_band(band):
+    """The dense block whose upper-band storage is ``band``, zeros outside the band."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    block = np.zeros((n, n))
+    for offset in range(w + 1):
+        p = np.arange(n - offset)
+        block[p, p + offset] = block[p + offset, p] = band[w - offset, offset:]
+    return block
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 24, 255])
+@pytest.mark.parametrize("two_alpha", [2.0, 4.0, 6.0])
+def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
+    # the dense views are evaluated, not scattered from the band; they must
+    # still hold the band's bits and +0.0 outside it
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    views = {"even": mass.even_block, "odd": mass.odd_block}
+    for name, view in views.items():
+        expected = scatter_band(getattr(mass, name))
+        np.testing.assert_array_equal(view, expected)
+        np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))
+
+
 def test_scalar_entry_matches_assembled_grid():
     order = FractionalOrder(1.3)
     mass = assemble_mass(order, 16)

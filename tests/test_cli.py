@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -67,6 +69,48 @@ def test_eig_rejects_negative_degree():
     with pytest.raises(SystemExit) as exc:
         run(["eig", "--two-alpha", "1.6", "--n", "-2"])
     assert exc.value.code == 2
+
+
+USAGE = "usage: riesz-eig [-h] {eig,convergence,weyl,condition,eigfun,mass} ...\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("eig --two-alpha -1 --n 8", "order must be positive, got -1.0"),
+    ("eig --two-alpha 0 --n 8", "order must be positive, got 0.0"),
+    ("eig --two-alpha nan --n 8", "order must be positive, got nan"),
+    ("eig --two-alpha inf --n 8", "order must be finite, got inf"),
+    ("weyl --two-alpha 1.6 --n -2", "--n must be nonnegative, got -2"),
+    ("convergence --two-alpha 1.6 --n-list 8,x --reference-n 64",
+     "--n-list expects a comma-separated integer list, got '8,x'"),
+    ("convergence --two-alpha 1.6 --n-list , --reference-n 64", "--n-list must not be empty"),
+    ("convergence --two-alpha 1.6 --n-list 16,8 --reference-n 64",
+     "--n-list must be strictly ascending"),
+    ("condition --two-alpha 1.6 --n-list 8,8", "--n-list must be strictly ascending"),
+    ("condition --two-alpha 1.6 --n-list=-1,4", "--n-list entries must be nonnegative"),
+    ("convergence --two-alpha 1.6 --n-list 8,16 --reference-n 16",
+     "--reference-n must exceed every entry of --n-list"),
+    ("eigfun --two-alpha 2.0 --n 4 --indices 1,a",
+     "--indices expects a comma-separated integer list, got '1,a'"),
+    ("eigfun --two-alpha 2.0 --n 4 --indices ,", "--indices must not be empty"),
+    ("eigfun --two-alpha 2.0 --n 4 --indices 6", "--indices entries must lie in [1, 5]"),
+    ("eigfun --two-alpha 2.0 --n 4 --indices 0", "--indices entries must lie in [1, 5]"),
+    ("eigfun --two-alpha 2.0 --n 4 --samples 1",
+     "--samples must be at least 2 (both endpoints included)"),
+    # several faults at once: the checks run in a fixed order
+    ("eigfun --two-alpha -1 --n -1 --indices 0 --samples 1", "order must be positive, got -1.0"),
+    ("eigfun --two-alpha 2.0 --n -1 --indices 0 --samples 1", "--n must be nonnegative, got -1"),
+    ("eigfun --two-alpha 2.0 --n 4 --indices 0 --samples 1",
+     "--indices entries must lie in [1, 5]"),
+    ("convergence --two-alpha 1.6 --n-list 16,8 --reference-n 4",
+     "--n-list must be strictly ascending"),
+])
+def test_parse_rejection_messages(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{USAGE}riesz-eig: error: {message}\n"
 
 
 def test_seventeen_digit_serialization(tmp_path):
@@ -291,3 +335,36 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     rc = run(["eig", "--two-alpha", "2.0", "--n", "4", "-o", str(target)])
     assert rc == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_mode_follows_umask(tmp_path, umask):
+    # like a file that open() creates, not the 0600 of the temp file
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o600)
+    previous = os.umask(umask)
+    try:
+        for path in (fresh, existing):
+            assert run(["eig", "--two-alpha", "2.0", "--n", "2", "-o", str(path)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (fresh, existing):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert path.read_text().startswith("n,lambda\n")
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    # raised, not provoked: a real allocation this size may succeed under overcommit
+    def out_of_memory(order, n_max):
+        raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
+                          "(500001, 500001) and data type float64")
+
+    monkeypatch.setattr("riesz_eig.cli.solve", out_of_memory)
+    assert run(["eig", "--two-alpha", "1.6", "--n", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "riesz-eig: error: Unable to allocate 3.64 TiB for an array with shape "
+        "(500001, 500001) and data type float64\n"
+    )

@@ -10,7 +10,7 @@ import riesz_eig.assembly
 import riesz_eig.eig
 from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
 from riesz_eig.assembly import assemble_mass
-from riesz_eig.eig import _sym_eigvals, eval_eigenfunction, solve, sym_eig
+from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
 from riesz_eig.specfun import FractionalOrder
 
 TABLE_16 = [1.7282959570964, 5.75634828003]  # leading pair at 2 alpha = 1.6, N = 64
@@ -150,12 +150,14 @@ def test_values_paths_never_decompose_fully(monkeypatch):
 
 
 def test_solve_names_lost_small_end(monkeypatch):
-    def sym_eigvals_losing_small_end(block):
-        values = _sym_eigvals(block)
+    eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh_losing_small_end(block):
+        values = eigvalsh(block)
         values[0] = -1e-21
         return values
 
-    monkeypatch.setattr(riesz_eig.eig, "_sym_eigvals", sym_eigvals_losing_small_end)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_losing_small_end)
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(5.6), 8)
     message = str(exc.value)
@@ -274,11 +276,27 @@ def test_banded_paths_never_form_a_dense_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(riesz_eig.assembly, "_dense_from_band", refuse)
+    monkeypatch.setattr(riesz_eig.assembly, "_dense_block", refuse)
     for two_alpha, n_max in ((2.0, 256), (4.0, 255)):
         sol = solve(FractionalOrder(two_alpha), n_max)
         assert np.all(np.diff(sol.lambdas) > 0)
         assert sol.vectors.shape == (n_max + 1, n_max + 1)
+
+
+def test_dense_vectors_go_through_sym_eig(monkeypatch):
+    # looked up by name at call time, so a wrapper (a tracer, say) sees each block
+    dims = []
+
+    def recording_sym_eig(matrix):
+        dims.append(len(matrix))
+        return sym_eig(matrix)
+
+    monkeypatch.setattr(riesz_eig.eig, "sym_eig", recording_sym_eig)
+    solve(FractionalOrder(1.6), 8).vectors
+    assert dims == [5, 4]
+    solve(FractionalOrder(1.6), 0).vectors
+    solve(FractionalOrder(2.0), 8).vectors
+    assert dims == [5, 4, 1]
 
 
 def test_parity_alternation_and_tags():
