@@ -159,13 +159,20 @@ def inverse_inequality_ratio(order: FractionalOrder, n_max: int) -> float:
 
 def spectrum_report(sol: EigenSolution) -> SpectrumReport:
     """Bundle the derived quantities for one eigensolution."""
+    two_alpha = sol.order.two_alpha
+    try:
+        poincare_bound = math.exp(math.lgamma(two_alpha + 1.0))
+    except OverflowError:
+        raise ValueError(
+            f"the Poincare bound Gamma(2a+1) exceeds the double range at 2a={two_alpha:g}"
+        ) from None
     return SpectrumReport(
         order=sol.order,
         n_max=sol.n_max,
         lambdas=sol.lambdas,
         weyl_ratios=weyl_ratios(sol),
         condition_number=condition_number(sol),
-        poincare_bound=math.exp(math.lgamma(sol.order.two_alpha + 1.0)),
+        poincare_bound=poincare_bound,
         minmax_upper=1.0 / mass_entry(sol.order, 0, 0),
         reliable_count=int(2 * sol.n_max / math.pi),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -46,13 +47,21 @@ def _fmt_row(values, sep: str = ",") -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # reading the umask means setting it; put it straight back
-    os.umask(umask)
+    try:
+        existing = os.stat(path).st_mode
+    except FileNotFoundError:
+        existing = 0
+    if stat.S_ISREG(existing):
+        mode = stat.S_IMODE(existing)  # open() truncates in place and keeps the mode
+    else:
+        umask = os.umask(0)  # reading the umask means setting it; put it straight back
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riesz-eig-")
     try:
         with os.fdopen(fd, "w") as handle:
             # mkstemp creates 0600; give the file the mode open() would
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -10,7 +10,9 @@ first time a caller reads them.  ``_block_spectra`` does the per-block work
 for both: it assembles the blocks, picks the LAPACK driver from the storage and
 from whether vectors are wanted, and checks each block's spectrum.  For integer
 ``alpha`` the blocks are banded and both the values and the vectors come from
-LAPACK's banded drivers on the stored band; no dense block is formed.
+LAPACK's banded drivers on the stored band; no dense block is formed.  Those
+drivers come from SciPy, which is imported only on that path: dense blocks use
+numpy's LAPACK, so a non-integer ``alpha`` never loads SciPy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import assemble_mass
 from .specfun import FractionalOrder, JacobiWeightPair, _boundary_weight, _jacobi_all, basis_coeff
@@ -154,6 +155,10 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         if indices.size == 0:  # the odd block is empty at N = 0
             continue
         if mass.banded:
+            # Deferred: only banded blocks need SciPy, and importing it at module
+            # load would more than double the start-up of every dense CLI call.
+            import scipy.linalg
+
             banded_driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
             result = _converged(banded_driver, stored)
         elif vectors:

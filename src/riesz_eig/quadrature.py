@@ -5,7 +5,10 @@ of the symmetric tridiagonal recurrence matrix, weights come from the first
 components of its normalized eigenvectors scaled by the zeroth moment.  The
 oracles below integrate raw polynomial products against the appropriate
 weight and are the independent cross-check for every closed-form matrix
-entry and norm; they never touch the closed-form entry formulas.
+entry and norm; they never touch the closed-form entry formulas.  The
+tridiagonal eigensolve is SciPy's ``eigh_tridiagonal``, imported when the
+first rule is built, so only the oracle paths (``gauss_jacobi`` and what
+calls it, such as ``mass --verify-oracle``) load SciPy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import (
     FractionalOrder,
@@ -73,6 +75,10 @@ def _recurrence_coefficients(a: float, b: float, m: int) -> tuple[np.ndarray, np
 @lru_cache(maxsize=512)
 def _rule_arrays(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     diag, offdiag = _recurrence_coefficients(a, b, m)
+    # Deferred: only the quadrature rules need SciPy, and importing it at module
+    # load would more than double the start-up of every dense CLI call.
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         nodes, vecs = eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug

@@ -175,6 +175,14 @@ def test_spectrum_report_fields():
     assert len(report.weyl_ratios) == 65
 
 
+def test_spectrum_report_poincare_bound_out_of_range():
+    # Gamma(173) exceeds the double range; solve() fails first, so build the solution
+    sol = EigenSolution(FractionalOrder(172.0), 2, np.array([1.0, 2.0, 3.0]),
+                        ("even", "odd", "even"))
+    with pytest.raises(ValueError, match=r"Gamma\(2a\+1\) exceeds the double range at 2a=172"):
+        spectrum_report(sol)
+
+
 @pytest.mark.parametrize("two_alpha", [0.2, 1.0, 2.0, 3.6])
 def test_bounds_small_sweep(two_alpha):
     order = FractionalOrder(two_alpha)

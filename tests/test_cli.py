@@ -339,7 +339,7 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_mode_follows_umask(tmp_path, umask):
-    # like a file that open() creates, not the 0600 of the temp file
+    # like open(): a new file gets 0666 & ~umask, a rewritten one keeps its mode
     fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
     existing.write_text("old\n")
     existing.chmod(0o600)
@@ -349,8 +349,9 @@ def test_output_file_mode_follows_umask(tmp_path, umask):
             assert run(["eig", "--two-alpha", "2.0", "--n", "2", "-o", str(path)]) == 0
     finally:
         os.umask(previous)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o600
     for path in (fresh, existing):
-        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert path.read_text().startswith("n,lambda\n")
 
 

@@ -1,0 +1,63 @@
+"""SciPy stays out of the import floor and out of every dense CLI call.
+
+Each case runs in a fresh interpreter: this process already holds SciPy, so
+``sys.modules`` here says nothing about what the package loads by itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import riesz_eig
+
+_SRC = str(Path(riesz_eig.__file__).resolve().parents[1])
+
+_PROBE = """
+import contextlib, io, json, sys
+import riesz_eig.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(riesz_eig.cli.main(argv))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _fresh_run(argvs):
+    """Run ``riesz_eig.cli.main`` on each argv in a new interpreter; return its report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert _fresh_run([]) == {"codes": [], "scipy": []}
+
+
+def test_dense_commands_load_no_scipy():
+    argvs = [
+        ["eig", "--two-alpha", "1.6", "--n", "16"],
+        ["eig", "--two-alpha", "1.6", "--n", "16", "--format", "json"],
+        ["weyl", "--two-alpha", "1.2", "--n", "16"],
+        ["condition", "--two-alpha", "1.8", "--n-list", "4,8,16"],
+        ["convergence", "--two-alpha", "1.6", "--n-list", "4,8", "--reference-n", "16"],
+        ["mass", "--two-alpha", "1.6", "--n", "8"],
+    ]
+    assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": []}
+
+
+def test_scipy_paths_run_in_a_fresh_interpreter():
+    # the banded solve and the quadrature oracle import SciPy where they use it
+    argvs = [
+        ["eig", "--two-alpha", "2.0", "--n", "16", "--vectors"],
+        ["mass", "--two-alpha", "1.6", "--n", "8", "--verify-oracle"],
+    ]
+    assert _fresh_run(argvs)["codes"] == [0, 0]
