@@ -17,8 +17,9 @@ from .specfun import (
     riesz_derivative_image,
     tail_seminorm_sq,
 )
-from .quadrature import QuadratureRule, gauss_jacobi, oracle_a_inner, oracle_mass_entry
-from .assembly import MassMatrix, assemble_mass, mass_entry, stiffness_check
+from .quadrature import (QuadratureRule, gauss_jacobi, oracle_a_inner, oracle_mass_entry,
+                         stiffness_check)
+from .assembly import MassMatrix, assemble_mass, mass_entry
 from .eig import EigenSolution, eval_eigenfunction, solve, sym_eig
 from .analysis import (
     ConvergenceTable,

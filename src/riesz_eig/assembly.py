@@ -1,9 +1,10 @@
 """Galerkin system assembly: identity stiffness and the closed-form mass matrix.
 
 In the normalized basis the stiffness matrix is the identity, so the discrete
-eigenproblem is carried entirely by the mass matrix.  Entries with odd index
-sum vanish identically (parity), which splits the matrix into independent
-even and odd blocks.  Every entry factors as
+eigenproblem is carried entirely by the mass matrix, and this module holds
+only its closed form; ``quadrature`` checks both by independent quadrature.
+Entries with odd index sum vanish identically (parity), which splits the
+matrix into independent even and odd blocks.  Every entry factors as
 
     M_ij = K * h_i * h_j * Q((i+j)/2) * U((j-i)/2),
 
@@ -24,10 +25,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import FractionalOrder, basis_coeff
-from .quadrature import oracle_a_inner
+from .specfun import FractionalOrder
 
-__all__ = ["MassMatrix", "mass_entry", "assemble_mass", "stiffness_check"]
+__all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
 
 
 def _is_banded(order: FractionalOrder) -> bool:
@@ -216,25 +216,3 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     even = build(order.alpha, np.arange(0, n_max + 1, 2))
     odd = build(order.alpha, np.arange(1, n_max + 1, 2))
     return MassMatrix(order, n_max, even, odd)
-
-
-def stiffness_check(order: FractionalOrder, n_max: int) -> float:
-    """Max deviation of the quadrature-evaluated stiffness matrix from the identity.
-
-    The stiffness matrix is the identity by construction and never stored;
-    this measures ``|c_i c_j <basis_i, basis_j>_energy - delta_ij|`` with the
-    inner products coming from the independent quadrature oracle.
-    """
-    if n_max < 0:
-        raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    if n_max > 64:
-        raise ValueError("stiffness check is limited to n_max <= 64 (oracle cost)")
-    coeffs = [basis_coeff(order, n) for n in range(n_max + 1)]
-    worst = 0.0
-    for m in range(n_max + 1):
-        for n in range(m, n_max + 1):
-            value = coeffs[m] * coeffs[n] * oracle_a_inner(order, m, n)
-            dev = abs(value - (1.0 if m == n else 0.0))
-            if dev > worst:
-                worst = dev
-    return worst

@@ -46,28 +46,31 @@ def _fmt_row(values, sep: str = ",") -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)  # write through a symlink, as a shell ``>`` does
     try:
-        existing = os.stat(path).st_mode
-    except FileNotFoundError:
-        existing = 0
-    if stat.S_ISREG(existing):
-        mode = stat.S_IMODE(existing)  # open() truncates in place and keeps the mode
-    else:
-        umask = os.umask(0)  # reading the umask means setting it; put it straight back
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riesz-eig-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            # mkstemp creates 0600; give the file the mode open() would
-            os.fchmod(handle.fileno(), mode)
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        try:
+            existing = os.stat(target).st_mode
+        except FileNotFoundError:
+            existing = 0
+        if stat.S_ISREG(existing):
+            mode = stat.S_IMODE(existing)  # open() truncates in place and keeps the mode
+        else:
+            umask = os.umask(0)  # reading the umask means setting it; put it straight back
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".riesz-eig-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                # mkstemp creates 0600; give the file the mode open() would
+                os.fchmod(handle.fileno(), mode)
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the path as given, not the temp file
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

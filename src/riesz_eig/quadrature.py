@@ -6,6 +6,8 @@ components of its normalized eigenvectors scaled by the zeroth moment.  The
 oracles below integrate raw polynomial products against the appropriate
 weight and are the independent cross-check for every closed-form matrix
 entry and norm; they never touch the closed-form entry formulas.  The
+matrix checks take one rule and one Gram product at any degree; the
+per-entry references take the smallest rule exact for their pair.  The
 tridiagonal eigensolve is SciPy's ``eigh_tridiagonal``, imported when the
 first rule is built, so only the oracle paths (``gauss_jacobi`` and what
 calls it, such as ``mass --verify-oracle``) load SciPy.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "oracle_mass_entry",
     "oracle_mass_matrix",
     "oracle_a_inner",
+    "stiffness_check",
 ]
 
 
@@ -41,7 +43,6 @@ __all__ = [
 class QuadratureRule:
     """An m-node Gauss rule for a Jacobi weight: exact on degree <= 2m-1."""
 
-    params: JacobiWeightPair
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -72,9 +73,14 @@ def _recurrence_coefficients(a: float, b: float, m: int) -> tuple[np.ndarray, np
     return diag, np.sqrt(offdiag_sq)
 
 
-@lru_cache(maxsize=512)
-def _rule_arrays(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    diag, offdiag = _recurrence_coefficients(a, b, m)
+def gauss_jacobi(params: JacobiWeightPair, m: int) -> QuadratureRule:
+    """Construct the m-node Gauss-Jacobi rule for ``(1-x)^a (1+x)^b``."""
+    if m < 1:
+        raise ValueError(f"rule size must be positive, got {m}")
+    if not (params.a > -1 and params.b > -1):
+        raise ValueError(f"weight exponents must exceed -1, got ({params.a}, {params.b})")
+    a, b = float(params.a), float(params.b)
+    diag, offdiag = _recurrence_coefficients(a, b, int(m))
     # Deferred: only the quadrature rules need SciPy, and importing it at module
     # load would more than double the start-up of every dense CLI call.
     from scipy.linalg import eigh_tridiagonal
@@ -90,19 +96,7 @@ def _rule_arrays(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         # Symmetric weight: enforce the exact node/weight symmetry about 0.
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def gauss_jacobi(params: JacobiWeightPair, m: int) -> QuadratureRule:
-    """Construct the m-node Gauss-Jacobi rule for ``(1-x)^a (1+x)^b``."""
-    if m < 1:
-        raise ValueError(f"rule size must be positive, got {m}")
-    if not (params.a > -1 and params.b > -1):
-        raise ValueError(f"weight exponents must exceed -1, got ({params.a}, {params.b})")
-    nodes, weights = _rule_arrays(float(params.a), float(params.b), int(m))
-    return QuadratureRule(params, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 def jacobi_weight_moments(params: JacobiWeightPair, max_power: int) -> np.ndarray:
@@ -143,21 +137,30 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     return basis_coeff(order, i) * basis_coeff(order, j) * rule.integrate(rows[i] * rows[j])
 
 
-def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:
-    """The full mass matrix by quadrature, as ``oracle_mass_entry`` but with one rule.
+def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) -> np.ndarray:
+    """``C (R W R^T) C``: the integrals ``c_i c_j (1-x^2)^s P_i P_j``, ``i, j <= n_max``.
 
-    One ``(n_max+1)``-node rule for the weight ``(1-x^2)^{2 alpha}`` is exact
-    for every product ``P_i P_j`` with ``i, j <= n_max``, so the matrix is
-    ``C (R W R^T) C`` with ``R`` the Jacobi values at the nodes, ``W`` the
-    weights and ``C`` the basis normalizations.
+    ``s = weight_scale * alpha``; ``R`` holds the ``(alpha, alpha)`` Jacobi
+    values at the nodes of one ``(n_max+1)``-node rule for the weight, exact
+    for every product, ``W`` its weights and ``C`` the basis normalizations.
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    s = 2.0 * order.alpha
+    s = weight_scale * order.alpha
     rule = gauss_jacobi(JacobiWeightPair(s, s), n_max + 1)
     rows = _jacobi_all(JacobiWeightPair(order.alpha, order.alpha), n_max, rule.nodes)
     coeffs = np.array([basis_coeff(order, n) for n in range(n_max + 1)])
     return coeffs[:, None] * ((rows * rule.weights) @ rows.T) * coeffs
+
+
+def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:
+    """The full mass matrix by quadrature, as ``oracle_mass_entry`` but with one rule."""
+    return _normalized_gram(order, 2.0, n_max)
+
+
+def _image_prefactor(alpha: float, m: int) -> float:
+    """``Gamma(m + 2 alpha + 1) / Gamma(m + 1)``: the degree-``m`` derivative-image factor."""
+    return math.exp(math.lgamma(m + 2.0 * alpha + 1.0) - math.lgamma(m + 1.0))
 
 
 def oracle_a_inner(order: FractionalOrder, m: int, n: int) -> float:
@@ -171,7 +174,18 @@ def oracle_a_inner(order: FractionalOrder, m: int, n: int) -> float:
     rule = _pair_rule(order, 1.0, m, n)
     pair = JacobiWeightPair(order.alpha, order.alpha)
     rows = _jacobi_all(pair, max(m, n), rule.nodes)
-    prefactor = math.exp(
-        math.lgamma(m + 2.0 * order.alpha + 1.0) - math.lgamma(m + 1.0)
-    )
-    return prefactor * rule.integrate(rows[m] * rows[n])
+    return _image_prefactor(order.alpha, m) * rule.integrate(rows[m] * rows[n])
+
+
+def stiffness_check(order: FractionalOrder, n_max: int) -> float:
+    """Max deviation of the quadrature-evaluated stiffness matrix from the identity.
+
+    The stiffness matrix is the identity by construction and never stored;
+    this measures ``|c_m c_n <basis_m, basis_n>_energy - delta_mn|`` over
+    ``m <= n <= n_max``.  As in ``oracle_a_inner``, the derivative image of
+    ``basis_m`` turns each inner product into its prefactor times the Gram
+    entry under the weight ``(1-x^2)^alpha``, all from one rule.
+    """
+    gram = _normalized_gram(order, 1.0, n_max)
+    prefactors = np.array([_image_prefactor(order.alpha, m) for m in range(n_max + 1)])
+    return float(np.max(np.triu(np.abs(prefactors[:, None] * gram - np.eye(n_max + 1)))))

@@ -23,10 +23,10 @@ from riesz_eig.analysis import (
     reliable_eigenvalues,
     solve_sweep,
 )
-from riesz_eig.assembly import assemble_mass, mass_entry, stiffness_check
+from riesz_eig.assembly import assemble_mass, mass_entry
 from riesz_eig.cli import main
 from riesz_eig.eig import solve
-from riesz_eig.quadrature import oracle_mass_entry
+from riesz_eig.quadrature import oracle_mass_entry, stiffness_check
 from riesz_eig.specfun import FractionalOrder
 
 # Five leading eigenvalues at N = 64 per order (10+ significant digits).

@@ -337,6 +337,31 @@ def test_no_partial_file_on_failure(tmp_path, monkeypatch):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-dir", "directory"])
+def test_output_error_names_the_path(tmp_path, capsys, target):
+    # the message names the path as given, never the temp file beside it
+    path = str(tmp_path / target)
+    rc = run(["eig", "--two-alpha", "2.0", "--n", "4", "-o", path])
+    assert rc == 1
+    reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+    assert capsys.readouterr().err == f"riesz-eig: error: cannot write {path!r}: {reason}\n"
+    # "." resolves to tmp_path itself, so the temp file is made in its parent
+    assert [*tmp_path.glob(".riesz-eig-*"), *tmp_path.parent.glob(".riesz-eig-*")] == []
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live", "dangling"])
+def test_output_writes_through_symlink(tmp_path, live):
+    # like a shell ``>``: the link stays, its target gets the output
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    if live:
+        target.write_text("old\n")
+    link.symlink_to("target.csv")
+    assert run(["eig", "--two-alpha", "2.0", "--n", "2", "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "target.csv"
+    assert target.read_text().startswith("n,lambda\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_mode_follows_umask(tmp_path, umask):
     # like open(): a new file gets 0666 & ~umask, a rewritten one keeps its mode

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from riesz_eig.assembly import assemble_mass
 from riesz_eig.quadrature import (
     gauss_jacobi,
     jacobi_weight_moments,
     oracle_a_inner,
     oracle_mass_entry,
     oracle_mass_matrix,
+    stiffness_check,
 )
 from riesz_eig.specfun import (
     FractionalOrder,
@@ -117,6 +119,18 @@ def test_oracle_mass_matrix_matches_entries(two_alpha, n_max):
     for i in range(n_max + 1):
         for j in range(n_max + 1):
             assert abs(matrix[i, j] - oracle_mass_entry(order, i, j)) <= 1e-14 * m00
+
+
+@pytest.mark.parametrize("two_alpha", [1.6, 2.0, 3.6])
+def test_oracle_mass_matrix_matches_assembly_at_cli_size(two_alpha):
+    order = FractionalOrder(two_alpha)
+    entries = assemble_mass(order, 1024).entries
+    assert np.max(np.abs(oracle_mass_matrix(order, 1024) - entries)) <= 1e-14 * entries[0, 0]
+
+
+@pytest.mark.parametrize("two_alpha", [0.5, 2.0, 5.6])
+def test_stiffness_check_at_cli_size(two_alpha):
+    assert stiffness_check(FractionalOrder(two_alpha), 1024) <= 1e-11
 
 
 def test_oracle_a_inner_values():
