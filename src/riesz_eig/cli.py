@@ -1,9 +1,9 @@
 """Command-line front end: eigenvalue tables, sweeps and matrix dumps as CSV/JSON.
 
 Every number is serialized with 17 significant digits so files round-trip
-exactly, and file output goes through a temp-file-plus-rename so interrupted
-runs never leave truncated artifacts.  Identical invocations produce
-byte-identical files.
+exactly, and file output goes through a temp-file-plus-rename (a FIFO or
+device is written in place) so interrupted runs never leave truncated
+artifacts.  Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ def _atomic_write(path: str, text: str) -> None:
             existing = 0
         if stat.S_ISREG(existing):
             mode = stat.S_IMODE(existing)  # open() truncates in place and keeps the mode
+        elif existing:
+            # a FIFO or device is written into, not replaced, as a shell ``>`` does
+            with open(target, "w") as handle:
+                handle.write(text)
+            return
         else:
             umask = os.umask(0)  # reading the umask means setting it; put it straight back
             os.umask(umask)

@@ -8,9 +8,9 @@ weight and are the independent cross-check for every closed-form matrix
 entry and norm; they never touch the closed-form entry formulas.  The
 matrix checks take one rule and one Gram product at any degree; the
 per-entry references take the smallest rule exact for their pair.  The
-tridiagonal eigensolve is SciPy's ``eigh_tridiagonal``, imported when the
-first rule is built, so only the oracle paths (``gauss_jacobi`` and what
-calls it, such as ``mass --verify-oracle``) load SciPy.
+recurrence matrix goes to numpy's ``eigh`` as one dense array: LAPACK's
+tridiagonal reduction leaves it as it is, so the nodes and weights are those
+of a tridiagonal eigensolver, with O(m^3) work.
 """
 
 from __future__ import annotations
@@ -81,12 +81,8 @@ def gauss_jacobi(params: JacobiWeightPair, m: int) -> QuadratureRule:
         raise ValueError(f"weight exponents must exceed -1, got ({params.a}, {params.b})")
     a, b = float(params.a), float(params.b)
     diag, offdiag = _recurrence_coefficients(a, b, int(m))
-    # Deferred: only the quadrature rules need SciPy, and importing it at module
-    # load would more than double the start-up of every dense CLI call.
-    from scipy.linalg import eigh_tridiagonal
-
     try:
-        nodes, vecs = eigh_tridiagonal(diag, offdiag)
+        nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
         raise RuntimeError(
             f"tridiagonal eigensolve failed for weight ({a}, {b}) with {m} nodes"
@@ -116,11 +112,15 @@ def jacobi_weight_moments(params: JacobiWeightPair, max_power: int) -> np.ndarra
     return moments
 
 
-def _pair_rule(order: FractionalOrder, weight_scale: float, i: int, j: int) -> QuadratureRule:
-    # Smallest rule exact for the degree i+j product: ceil((i+j)/2) + 1 nodes.
-    m = (i + j + 1) // 2 + 1
+def _pair_integral(order: FractionalOrder, weight_scale: float, i: int, j: int) -> float:
+    """``integral (1-x^2)^s P_i P_j``, ``s = weight_scale * alpha``, by the smallest exact rule."""
+    if i < 0 or j < 0:
+        raise ValueError("indices must be nonnegative")
     s = weight_scale * order.alpha
-    return gauss_jacobi(JacobiWeightPair(s, s), m)
+    # exact for the degree i+j product: ceil((i+j)/2) + 1 nodes
+    rule = gauss_jacobi(JacobiWeightPair(s, s), (i + j + 1) // 2 + 1)
+    rows = _jacobi_all(JacobiWeightPair(order.alpha, order.alpha), max(i, j), rule.nodes)
+    return rule.integrate(rows[i] * rows[j])
 
 
 def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
@@ -129,12 +129,8 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     Integrates ``c_i c_j (1-x^2)^{2 alpha} P_i P_j`` with a rule that is exact
     for the polynomial part; independent of the closed-form entry formula.
     """
-    if i < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    rule = _pair_rule(order, 2.0, i, j)
-    pair = JacobiWeightPair(order.alpha, order.alpha)
-    rows = _jacobi_all(pair, max(i, j), rule.nodes)
-    return basis_coeff(order, i) * basis_coeff(order, j) * rule.integrate(rows[i] * rows[j])
+    integral = _pair_integral(order, 2.0, i, j)
+    return basis_coeff(order, i) * basis_coeff(order, j) * integral
 
 
 def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) -> np.ndarray:
@@ -169,12 +165,8 @@ def oracle_a_inner(order: FractionalOrder, m: int, n: int) -> float:
     Uses the derivative image of one factor, reducing the inner product to a
     gamma-ratio prefactor times a weighted Jacobi product integral.
     """
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    rule = _pair_rule(order, 1.0, m, n)
-    pair = JacobiWeightPair(order.alpha, order.alpha)
-    rows = _jacobi_all(pair, max(m, n), rule.nodes)
-    return _image_prefactor(order.alpha, m) * rule.integrate(rows[m] * rows[n])
+    integral = _pair_integral(order, 1.0, m, n)
+    return _image_prefactor(order.alpha, m) * integral
 
 
 def stiffness_check(order: FractionalOrder, n_max: int) -> float:

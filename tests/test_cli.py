@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -360,6 +361,23 @@ def test_output_writes_through_symlink(tmp_path, live):
     assert link.is_symlink() and os.readlink(link) == "target.csv"
     assert target.read_text().startswith("n,lambda\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_output_writes_into_fifo(tmp_path, capsys):
+    # like a shell ``>``: the reader gets the bytes and the FIFO stays a FIFO
+    argv = ["eig", "--two-alpha", "2.0", "--n", "2"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run([*argv, "-o", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])

@@ -1,4 +1,4 @@
-"""SciPy stays out of the import floor and out of every dense CLI call.
+"""SciPy stays out of the import floor and out of every non-banded CLI call.
 
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -50,14 +50,12 @@ def test_dense_commands_load_no_scipy():
         ["condition", "--two-alpha", "1.8", "--n-list", "4,8,16"],
         ["convergence", "--two-alpha", "1.6", "--n-list", "4,8", "--reference-n", "16"],
         ["mass", "--two-alpha", "1.6", "--n", "8"],
+        ["mass", "--two-alpha", "1.6", "--n", "8", "--verify-oracle"],
     ]
     assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": []}
 
 
 def test_scipy_paths_run_in_a_fresh_interpreter():
-    # the banded solve and the quadrature oracle import SciPy where they use it
-    argvs = [
-        ["eig", "--two-alpha", "2.0", "--n", "16", "--vectors"],
-        ["mass", "--two-alpha", "1.6", "--n", "8", "--verify-oracle"],
-    ]
-    assert _fresh_run(argvs)["codes"] == [0, 0]
+    # the banded solve imports SciPy where it uses it
+    argvs = [["eig", "--two-alpha", "2.0", "--n", "16", "--vectors"]]
+    assert _fresh_run(argvs)["codes"] == [0]

@@ -5,6 +5,7 @@ import pytest
 
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.quadrature import (
+    _recurrence_coefficients,
     gauss_jacobi,
     jacobi_weight_moments,
     oracle_a_inner,
@@ -34,6 +35,35 @@ def test_gauss_legendre_two_points():
     rule = gauss_jacobi(JacobiWeightPair(0.0, 0.0), 2)
     np.testing.assert_allclose(rule.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], rtol=1e-14)
     np.testing.assert_allclose(rule.weights, [1.0, 1.0], rtol=1e-14)
+
+
+def _golub_welsch_tridiagonal(pair, m):
+    """The rule from SciPy's tridiagonal eigensolver on the same recurrence."""
+    from scipy.linalg import eigh_tridiagonal
+
+    a, b = float(pair.a), float(pair.b)
+    nodes, vecs = eigh_tridiagonal(*_recurrence_coefficients(a, b, m))
+    weights = jacobi_norm_sq(pair, 0) * vecs[0] ** 2
+    if a == b:
+        nodes = 0.5 * (nodes - nodes[::-1])
+        weights = 0.5 * (weights + weights[::-1])
+    return nodes, weights
+
+
+@pytest.mark.parametrize("m", [1, 2, 33, 65, 1025])
+@pytest.mark.parametrize("pair", [
+    JacobiWeightPair(0.8, 0.8),
+    JacobiWeightPair(5.6, 5.6),
+    JacobiWeightPair(0.3, 1.7),
+    JacobiWeightPair(-0.7, 4.2),
+], ids=lambda p: f"a{p.a}_b{p.b}")
+def test_rule_equals_tridiagonal_eigensolver(pair, m):
+    # LAPACK's reduction leaves the dense tridiagonal matrix as it is, so the
+    # dense and the tridiagonal eigensolver agree to the last bit
+    rule = gauss_jacobi(pair, m)
+    nodes, weights = _golub_welsch_tridiagonal(pair, m)
+    np.testing.assert_array_equal(rule.nodes, nodes)
+    np.testing.assert_array_equal(rule.weights, weights)
 
 
 def test_single_node_rule():
@@ -108,6 +138,8 @@ def test_oracle_mass_entry_odd_parity(two_alpha):
     for i, j in ((0, 1), (1, 2), (2, 5), (0, 7)):
         assert abs(oracle_mass_entry(order, i, j)) <= 1e-15
         assert oracle_mass_entry(order, i, j) == oracle_mass_entry(order, j, i)
+    for i, j in ((0, 2), (1, 3), (2, 6), (4, 10)):
+        assert oracle_mass_entry(order, i, j) == oracle_mass_entry(order, j, i)
 
 
 @pytest.mark.parametrize("two_alpha, n_max", [(2.0, 8), (3.6, 64)])
@@ -116,9 +148,12 @@ def test_oracle_mass_matrix_matches_entries(two_alpha, n_max):
     matrix = oracle_mass_matrix(order, n_max)
     assert matrix.shape == (n_max + 1, n_max + 1)
     m00 = oracle_mass_entry(order, 0, 0)
+    # the per-entry oracle is exactly symmetric (test_oracle_mass_entry_odd_parity)
     for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            assert abs(matrix[i, j] - oracle_mass_entry(order, i, j)) <= 1e-14 * m00
+        for j in range(i, n_max + 1):
+            entry = oracle_mass_entry(order, i, j)
+            assert abs(matrix[i, j] - entry) <= 1e-14 * m00
+            assert abs(matrix[j, i] - entry) <= 1e-14 * m00
 
 
 @pytest.mark.parametrize("two_alpha", [1.6, 2.0, 3.6])
