@@ -3,22 +3,26 @@
 Every number is serialized with 17 significant digits so files round-trip
 exactly, and file output goes through a temp-file-plus-rename (a FIFO or
 device is written in place) so interrupted runs never leave truncated
-artifacts.  Identical invocations produce byte-identical files.
+artifacts.  Identical invocations produce byte-identical files.  Each
+``cmd_*`` yields its output line by line and ``_write`` streams the lines,
+so no table is held as one string.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import analysis
 from .assembly import assemble_mass
-from .eig import eval_eigenfunction, solve
+from .eig import _sample_eigenfunctions, solve
 from .quadrature import oracle_mass_matrix
 from .specfun import FractionalOrder
 
@@ -45,7 +49,7 @@ def _fmt_row(values, sep: str = ",") -> str:
     return sep.join(["%.17g"] * len(row)) % tuple(row)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
     target = os.path.realpath(path)  # write through a symlink, as a shell ``>`` does
     try:
         try:
@@ -57,7 +61,7 @@ def _atomic_write(path: str, text: str) -> None:
         elif existing:
             # a FIFO or device is written into, not replaced, as a shell ``>`` does
             with open(target, "w") as handle:
-                handle.write(text)
+                handle.writelines(lines)
             return
         else:
             umask = os.umask(0)  # reading the umask means setting it; put it straight back
@@ -68,7 +72,7 @@ def _atomic_write(path: str, text: str) -> None:
             with os.fdopen(fd, "w") as handle:
                 # mkstemp creates 0600; give the file the mode open() would
                 os.fchmod(handle.fileno(), mode)
-                handle.write(text)
+                handle.writelines(lines)
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -78,18 +82,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _write(args: argparse.Namespace, lines: Iterator[str]) -> None:
+    """Stream the generator ``lines`` of a ``cmd_*`` to stdout or to ``-o``.
+
+    The first line is computed before any output is opened: every ``cmd_*``
+    does the work that can fail (solves, reports, evaluations) before its
+    first ``yield``, so a failing command writes nothing.
+    """
+    lines = itertools.chain([next(lines)], lines)
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        _atomic_write(args.output, text)
-
-
-def _csv(header: list[str], rows: list[str], trailer: str | None = None) -> str:
-    lines = [",".join(header), *rows]
-    if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
+        _atomic_write(args.output, lines)
 
 
 def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> list[int]:
@@ -102,85 +106,93 @@ def _parse_int_list(parser: argparse.ArgumentParser, raw: str, flag: str) -> lis
     return values
 
 
-def cmd_eig(args: argparse.Namespace) -> None:
+def _csv_lines(header: list[str], rows: Iterable[str]) -> Iterator[str]:
+    """The CSV lines of ``header`` and the pre-joined ``rows``, each ending in a newline."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield row + "\n"
+
+
+def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
     """Eigenvalues (optionally with coefficient vectors) for one (2 alpha, N) pair."""
     sol = solve(args.order, args.n)
+    report = analysis.spectrum_report(sol) if args.format == "json" else None
+    vectors = sol.vectors if args.vectors else None
     if args.format == "json":
-        report = analysis.spectrum_report(sol)
-        lambdas = "[" + _fmt_row(sol.lambdas, ", ") + "]"
         fields = [
             f'"schema": "{SCHEMA}"',
             f'"two_alpha": {_fmt(args.two_alpha)}',
             f'"N": {args.n}',
-            f'"lambdas": {lambdas}',
+            f'"lambdas": [{_fmt_row(sol.lambdas, ", ")}]',
             f'"condition_number": {_fmt(report.condition_number)}',
             f'"poincare_bound": {_fmt(report.poincare_bound)}',
             f'"minmax_upper": {_fmt(report.minmax_upper)}',
         ]
-        if args.vectors:
-            rows = ("[" + _fmt_row(vec, ", ") + "]" for vec in sol.vectors)
-            fields.append('"vectors": [' + ", ".join(rows) + "]")
-        _emit(args, "{" + ", ".join(fields) + "}\n")
+        if vectors is None:
+            yield "{" + ", ".join(fields) + "}\n"
+            return
+        yield "{" + ", ".join(fields) + ', "vectors": ['
+        for i, vec in enumerate(vectors):
+            yield (", [" if i else "[") + _fmt_row(vec, ", ") + "]"
+        yield "]}\n"
         return
     header = ["n", "lambda"]
-    table = sol.lambdas[:, None]
-    if args.vectors:
+    rows = (f"{i + 1},{_fmt(lam)}" for i, lam in enumerate(sol.lambdas.tolist()))
+    if vectors is not None:
         header += [f"c{j}" for j in range(args.n + 1)]
-        table = np.column_stack([sol.lambdas, sol.vectors])
-    rows = [f"{i + 1},{_fmt_row(row)}" for i, row in enumerate(table)]
-    _emit(args, _csv(header, rows))
+        rows = (f"{row},{_fmt_row(vec)}" for row, vec in zip(rows, vectors))
+    yield from _csv_lines(header, rows)
 
 
-def cmd_convergence(args: argparse.Namespace) -> None:
+def cmd_convergence(args: argparse.Namespace) -> Iterator[str]:
     """First-eigenvalue errors against a fine reference, one row per degree."""
     table = analysis.convergence_table(args.order, args.n_list, args.reference_n)
-    rows = [f"{n},{_fmt_row((lam, err))}" for n, lam, err in table.rows]
-    _emit(args, _csv(["N", "lambda1", "error"], rows))
+    rows = (f"{n},{_fmt_row((lam, err))}" for n, lam, err in table.rows)
+    yield from _csv_lines(["N", "lambda1", "error"], rows)
 
 
-def cmd_weyl(args: argparse.Namespace) -> None:
+def cmd_weyl(args: argparse.Namespace) -> Iterator[str]:
     """Eigenvalues with their growth-law ratios and the reliability flag."""
     report = analysis.spectrum_report(solve(args.order, args.n))
-    rows = [
+    rows = (
         f"{i + 1},{_fmt_row(row)},{'true' if i + 1 <= report.reliable_count else 'false'}"
         for i, row in enumerate(np.column_stack([report.lambdas, report.weyl_ratios]))
-    ]
-    _emit(args, _csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows))
+    )
+    yield from _csv_lines(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows)
 
 
-def cmd_condition(args: argparse.Namespace) -> None:
+def cmd_condition(args: argparse.Namespace) -> Iterator[str]:
     """Condition number per degree, with the fitted growth exponent when possible."""
     sols = analysis.solve_sweep(args.order, args.n_list)
     chis = [analysis.condition_number(sols[n]) for n in args.n_list]
     rows = [f"{n},{_fmt(chi)}" for n, chi in zip(args.n_list, chis)]
-    trailer = None
     if len(args.n_list) >= 3:
         slope = analysis._loglog_slope(args.n_list, chis)
-        trailer = (
+        rows.append(
             f'# {{"schema": "{SCHEMA}", "two_alpha": {_fmt(args.two_alpha)}, '
             f'"slope": {_fmt(slope)}}}'
         )
-    _emit(args, _csv(["N", "chi_N"], rows, trailer))
+    yield from _csv_lines(["N", "chi_N"], rows)
 
 
-def cmd_eigfun(args: argparse.Namespace) -> None:
+def cmd_eigfun(args: argparse.Namespace) -> Iterator[str]:
     """Selected eigenfunctions sampled on a uniform grid including the endpoints."""
     sol = solve(args.order, args.n)
     xs = np.linspace(-1.0, 1.0, args.samples)
-    columns = [eval_eigenfunction(sol, index, xs) for index in args.indices]
+    columns = _sample_eigenfunctions(sol, args.indices, xs)
     header = ["x"] + [f"u_{index}" for index in args.indices]
-    rows = [_fmt_row(row) for row in np.column_stack([xs, *columns])]
-    _emit(args, _csv(header, rows))
+    rows = (_fmt_row(row) for row in np.column_stack([xs, *columns]))
+    yield from _csv_lines(header, rows)
 
 
-def cmd_mass(args: argparse.Namespace) -> None:
+def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
     """Dump the full mass matrix; optionally cross-check it against the oracle."""
     mass = assemble_mass(args.order, args.n)
-    header = [f"j{j}" for j in range(args.n + 1)]
-    rows = [_fmt_row(row) for row in mass.entries]
-    _emit(args, _csv(header, rows))
     if args.verify_oracle:
         worst = np.max(np.triu(np.abs(mass.entries - oracle_mass_matrix(args.order, args.n))))
+    header = [f"j{j}" for j in range(args.n + 1)]
+    yield from _csv_lines(header, (_fmt_row(row) for row in mass.entries))
+    if args.verify_oracle:
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 
 
@@ -275,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _check_args(parser, args)
     try:
-        _COMMANDS[args.command](args)
+        _write(args, _COMMANDS[args.command](args))
     except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"riesz-eig: error: {exc}\n")
         return 1

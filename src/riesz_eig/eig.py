@@ -58,15 +58,21 @@ class EigenSolution:
         """
         parities = np.array(self.parities)
         vectors = np.zeros((self.n_max + 1, self.n_max + 1))
+        flip = np.zeros(self.n_max + 1, dtype=bool)
         for tag, indices, mu, vecs in _block_spectra(self.order, self.n_max, vectors=True):
             # Within a block the merge keeps the descending-mu order, so the
             # k-th row of this parity takes the k-th vector of the block.
             rows = np.flatnonzero(parities == tag)
             mu, vecs = mu[::-1], vecs[:, ::-1]
-            vectors[np.ix_(rows, indices)] = (vecs / np.sqrt(mu)).T
-        # deterministic sign: the largest-magnitude coefficient of each row is positive
-        dominant = vectors[np.arange(self.n_max + 1), np.argmax(np.abs(vectors), axis=1)]
-        vectors[dominant < 0.0] *= -1.0
+            vecs /= np.sqrt(mu)  # in place: the driver's array is ours
+            block = vecs.T
+            vectors[np.ix_(rows, indices)] = block
+            # deterministic sign: the largest-magnitude coefficient of each row is
+            # positive; the opposite-parity zeros cannot be it
+            dominant = block[np.arange(rows.size), np.argmax(np.abs(block), axis=1)]
+            flip[rows] = dominant < 0.0
+        # flip whole rows, so the opposite-parity zeros of a flipped row are -0.0
+        vectors[flip] *= -1.0
         vectors.setflags(write=False)
         return vectors
 
@@ -195,22 +201,36 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     return EigenSolution(order, n_max, lambdas, parities)
 
 
+def _sample_eigenfunctions(sol: EigenSolution, indices, xs) -> list[np.ndarray]:
+    """Sample the eigenfunctions ``indices`` (1-based) at points in [-1, 1].
+
+    The Jacobi rows, the basis scale and the boundary weight are built once
+    and shared by every index.  Each sample is exactly 0 at ``x = +-1``.
+    """
+    for index in indices:
+        if not (1 <= index <= len(sol.lambdas)):
+            raise ValueError(f"index must lie in [1, {len(sol.lambdas)}], got {index}")
+    x = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("sample points must lie in [-1, 1]")
+    vectors = sol.vectors
+    alpha = sol.order.alpha
+    scale = np.array([basis_coeff(sol.order, n) for n in range(sol.n_max + 1)])
+    rows = _jacobi_all(JacobiWeightPair(alpha, alpha), sol.n_max, x)
+    weight = _boundary_weight(alpha, x)
+    endpoints = np.abs(x) == 1.0
+    samples = []
+    for index in indices:
+        out = weight * ((vectors[index - 1] * scale) @ rows)
+        # normalize the signed zeros the endpoint weight can produce
+        out[endpoints] = 0.0
+        samples.append(out)
+    return samples
+
+
 def eval_eigenfunction(sol: EigenSolution, index: int, xs) -> np.ndarray:
     """Sample the ``index``-th (1-based) eigenfunction at points in [-1, 1].
 
     Returns exactly 0 at ``x = +-1``.
     """
-    if not (1 <= index <= len(sol.lambdas)):
-        raise ValueError(f"index must lie in [1, {len(sol.lambdas)}], got {index}")
-    x = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("sample points must lie in [-1, 1]")
-    alpha = sol.order.alpha
-    coeffs = sol.vectors[index - 1] * np.array(
-        [basis_coeff(sol.order, n) for n in range(sol.n_max + 1)]
-    )
-    rows = _jacobi_all(JacobiWeightPair(alpha, alpha), sol.n_max, x)
-    out = _boundary_weight(alpha, x) * (coeffs @ rows)
-    # normalize the signed zeros the endpoint weight can produce
-    out[np.abs(x) == 1.0] = 0.0
-    return out
+    return _sample_eigenfunctions(sol, [index], xs)[0]

@@ -3,11 +3,15 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from riesz_eig.cli import _fmt_row, main
+from riesz_eig import analysis, cli
+from riesz_eig.assembly import assemble_mass
+from riesz_eig.cli import _fmt, _fmt_row, main
+from riesz_eig.eig import eval_eigenfunction, solve
 
 
 def run(args):
@@ -412,3 +416,134 @@ def test_memory_error_is_one_line(capsys, monkeypatch):
         "riesz-eig: error: Unable to allocate 3.64 TiB for an array with shape "
         "(500001, 500001) and data type float64\n"
     )
+
+
+def _joined_csv(header, rows, trailer=None):
+    lines = [",".join(header), *rows]
+    if trailer is not None:
+        lines.append(trailer)
+    return "\n".join(lines) + "\n"
+
+
+def _joined_output(argv):
+    """A command's stdout assembled as one string, the way the CLI built it before streaming."""
+    parser = cli._build_parser()
+    args = parser.parse_args(argv)
+    cli._check_args(parser, args)
+    if args.command == "eig":
+        sol = solve(args.order, args.n)
+        if args.format == "json":
+            report = analysis.spectrum_report(sol)
+            fields = [
+                f'"schema": "{cli.SCHEMA}"',
+                f'"two_alpha": {_fmt(args.two_alpha)}',
+                f'"N": {args.n}',
+                '"lambdas": [' + ", ".join(_fmt(v) for v in sol.lambdas) + "]",
+                f'"condition_number": {_fmt(report.condition_number)}',
+                f'"poincare_bound": {_fmt(report.poincare_bound)}',
+                f'"minmax_upper": {_fmt(report.minmax_upper)}',
+            ]
+            if args.vectors:
+                rows = ("[" + ", ".join(_fmt(v) for v in vec) + "]" for vec in sol.vectors)
+                fields.append('"vectors": [' + ", ".join(rows) + "]")
+            return "{" + ", ".join(fields) + "}\n"
+        header = ["n", "lambda"]
+        table = sol.lambdas[:, None]
+        if args.vectors:
+            header += [f"c{j}" for j in range(args.n + 1)]
+            table = np.column_stack([sol.lambdas, sol.vectors])
+        return _joined_csv(header, [f"{i + 1},{_fmt_row(row)}" for i, row in enumerate(table)])
+    if args.command == "convergence":
+        table = analysis.convergence_table(args.order, args.n_list, args.reference_n)
+        rows = [f"{n},{_fmt(lam)},{_fmt(err)}" for n, lam, err in table.rows]
+        return _joined_csv(["N", "lambda1", "error"], rows)
+    if args.command == "weyl":
+        report = analysis.spectrum_report(solve(args.order, args.n))
+        rows = [
+            f"{i + 1},{_fmt(lam)},{_fmt(ratio)},{'true' if i < report.reliable_count else 'false'}"
+            for i, (lam, ratio) in enumerate(zip(report.lambdas, report.weyl_ratios))
+        ]
+        return _joined_csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows)
+    if args.command == "condition":
+        sols = analysis.solve_sweep(args.order, args.n_list)
+        chis = [analysis.condition_number(sols[n]) for n in args.n_list]
+        trailer = None
+        if len(args.n_list) >= 3:
+            slope = analysis._loglog_slope(args.n_list, chis)
+            trailer = (f'# {{"schema": "{cli.SCHEMA}", "two_alpha": {_fmt(args.two_alpha)}, '
+                       f'"slope": {_fmt(slope)}}}')
+        rows = [f"{n},{_fmt(chi)}" for n, chi in zip(args.n_list, chis)]
+        return _joined_csv(["N", "chi_N"], rows, trailer)
+    if args.command == "eigfun":
+        sol = solve(args.order, args.n)
+        xs = np.linspace(-1.0, 1.0, args.samples)
+        columns = [eval_eigenfunction(sol, index, xs) for index in args.indices]
+        header = ["x"] + [f"u_{index}" for index in args.indices]
+        return _joined_csv(header, [_fmt_row(row) for row in np.column_stack([xs, *columns])])
+    assert args.command == "mass"
+    entries = assemble_mass(args.order, args.n).entries
+    return _joined_csv([f"j{j}" for j in range(args.n + 1)], [_fmt_row(row) for row in entries])
+
+
+STREAMED = [
+    *(argv.format(n=n, top=n + 1, ref=n + 16) for n in (0, 1, 64) for argv in (
+        "eig --two-alpha 1.6 --n {n}",
+        "eig --two-alpha 1.6 --n {n} --format json",
+        "eig --two-alpha 2.0 --n {n} --vectors",
+        "convergence --two-alpha 1.6 --n-list {n} --reference-n {ref}",
+        "weyl --two-alpha 1.2 --n {n}",
+        "condition --two-alpha 1.8 --n-list {n}",
+        "eigfun --two-alpha 1.6 --n {n} --indices 1,{top} --samples 33",
+        "mass --two-alpha 1.6 --n {n}",
+    )),
+    "eig --two-alpha 1.6 --n 64 --vectors",
+    "eig --two-alpha 1.6 --n 64 --vectors --format json",
+    "eig --two-alpha 2.0 --n 33 --vectors",
+    "eig --two-alpha 2.0 --n 33 --vectors --format json",
+    "condition --two-alpha 1.8 --n-list 16,32,64",
+    "mass --two-alpha 2.0 --n 8 --verify-oracle",
+]
+
+
+@pytest.mark.parametrize("argv", STREAMED)
+def test_streamed_output_equals_joined_string(tmp_path, capsys, argv):
+    expected = _joined_output(argv.split())
+    assert run(argv.split()) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "out"
+    assert run([*argv.split(), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected.encode()
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_call_writes_nothing(tmp_path, capsys, fmt):
+    # the values solve succeeds; the vectors fail before the first byte is written
+    argv = ["eig", "--two-alpha", "5.6", "--n", "512", "--vectors", "--format", fmt]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("riesz-eig: error: nonpositive mass eigenvalue")
+    assert len(captured.err.splitlines()) == 1
+    assert run([*argv, "-o", str(tmp_path / f"eig.{fmt}")]) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "eig --two-alpha 1.6 --n 512 --vectors",
+    "eig --two-alpha 1.6 --n 512 --vectors --format json",
+    "mass --two-alpha 1.6 --n 512",
+], ids=["eig-vectors-csv", "eig-vectors-json", "mass"])
+def test_streamed_output_memory_peak(tmp_path, argv):
+    # the text (about 3 MB) is never held whole: the peak stays below three
+    # (N+1)^2 arrays of doubles
+    budget = 3 * 513**2 * 8
+    tracemalloc.start()
+    try:
+        assert run([*argv.split(), "-o", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget

@@ -11,7 +11,13 @@ import riesz_eig.eig
 from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
-from riesz_eig.specfun import FractionalOrder
+from riesz_eig.specfun import (
+    FractionalOrder,
+    JacobiWeightPair,
+    _boundary_weight,
+    _jacobi_all,
+    basis_coeff,
+)
 
 TABLE_16 = [1.7282959570964, 5.75634828003]  # leading pair at 2 alpha = 1.6, N = 64
 
@@ -124,6 +130,29 @@ def test_solve_matches_reference_merge(two_alpha, n_max):
     # flipped rows carry -0.0 off their parity, and the CLI prints it as "-0"
     np.testing.assert_array_equal(np.signbit(sol.vectors), np.signbit(vectors))
     assert sol.parities == parities
+
+
+def _full_row_sign_vectors(sol):
+    """The vectors signed by the largest-magnitude entry of each full row."""
+    parities = np.array(sol.parities)
+    vectors = np.zeros((sol.n_max + 1, sol.n_max + 1))
+    for tag, indices, mu, vecs in riesz_eig.eig._block_spectra(sol.order, sol.n_max, True):
+        rows = np.flatnonzero(parities == tag)
+        vectors[np.ix_(rows, indices)] = (vecs[:, ::-1] / np.sqrt(mu[::-1])).T
+    dominant = vectors[np.arange(sol.n_max + 1), np.argmax(np.abs(vectors), axis=1)]
+    vectors[dominant < 0.0] *= -1.0
+    return vectors
+
+
+@pytest.mark.parametrize("two_alpha", [0.37, 1.6, 2.0, 3.6, 4.0, 6.0])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 24, 255, 256])
+def test_vectors_sign_per_block_matches_full_rows(two_alpha, n_max):
+    # the dominant entry is picked inside each parity block; the bytes, -0.0
+    # included, are those of the pick over each full row
+    sol = solve(FractionalOrder(two_alpha), n_max)
+    expected = _full_row_sign_vectors(sol)
+    np.testing.assert_array_equal(sol.vectors, expected)
+    np.testing.assert_array_equal(np.signbit(sol.vectors), np.signbit(expected))
 
 
 @pytest.mark.parametrize("two_alpha, n_max", [(1.6, 1024), (3.6, 1024), (5.6, 512)])
@@ -355,6 +384,24 @@ def test_eigenfunction_matches_cosine():
     if u[len(xs) // 2] < 0:
         u = -u
     assert np.max(np.abs(u - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("two_alpha, n_max", [(1.6, 0), (1.6, 33), (2.0, 64), (0.37, 24)])
+def test_eigenfunctions_share_one_basis_bit_for_bit(two_alpha, n_max):
+    # one Jacobi/scale/weight build for all indices equals a build per index
+    order = FractionalOrder(two_alpha)
+    sol = solve(order, n_max)
+    xs = np.linspace(-1.0, 1.0, 129)
+    indices = sorted({1, n_max // 2 + 1, n_max + 1})
+    alpha = order.alpha
+    rows = _jacobi_all(JacobiWeightPair(alpha, alpha), n_max, xs)
+    for index, got in zip(indices, riesz_eig.eig._sample_eigenfunctions(sol, indices, xs)):
+        coeffs = sol.vectors[index - 1] * np.array([basis_coeff(order, n) for n in range(n_max + 1)])
+        expected = _boundary_weight(alpha, xs) * (coeffs @ rows)
+        expected[np.abs(xs) == 1.0] = 0.0
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(eval_eigenfunction(sol, index, xs), expected)
 
 
 def test_eigenfunction_argument_checks():
