@@ -11,10 +11,7 @@ from .specfun import (
     JacobiWeightPair,
     a_norm_sq_gjf,
     basis_coeff,
-    gjf_eval,
-    jacobi_eval,
     jacobi_norm_sq,
-    riesz_derivative_image,
     tail_seminorm_sq,
 )
 from .quadrature import (QuadratureRule, gauss_jacobi, oracle_a_inner, oracle_mass_entry,
@@ -27,7 +24,6 @@ from .analysis import (
     condition_number,
     condition_slope,
     convergence_table,
-    inverse_inequality_ratio,
     projection_error,
     reliable_eigenvalues,
     solve_sweep,
@@ -45,11 +41,8 @@ __all__ = [
     "EigenSolution",
     "SpectrumReport",
     "ConvergenceTable",
-    "jacobi_eval",
     "jacobi_norm_sq",
-    "gjf_eval",
     "basis_coeff",
-    "riesz_derivative_image",
     "a_norm_sq_gjf",
     "tail_seminorm_sq",
     "gauss_jacobi",
@@ -68,6 +61,5 @@ __all__ = [
     "convergence_table",
     "reliable_eigenvalues",
     "projection_error",
-    "inverse_inequality_ratio",
     "spectrum_report",
 ]

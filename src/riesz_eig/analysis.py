@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import mass_entry
 from .eig import EigenSolution, solve
-from .specfun import FractionalOrder, a_norm_sq_gjf, tail_seminorm_sq
+from .specfun import FractionalOrder, _image_prefactor, a_norm_sq_gjf, tail_seminorm_sq
 
 __all__ = [
     "SpectrumReport",
@@ -27,7 +27,6 @@ __all__ = [
     "convergence_table",
     "reliable_eigenvalues",
     "projection_error",
-    "inverse_inequality_ratio",
     "spectrum_report",
 ]
 
@@ -134,27 +133,17 @@ def projection_error(order: FractionalOrder, coeffs, n_max: int) -> tuple[float,
     """Truncation errors of an expansion cut at degree ``n_max``.
 
     Returns ``(a_error, l2_like_error)``: the energy-norm tail and the
-    weighted-L2 tail (each energy term damped by ``i! / Gamma(i + 2 alpha + 1)``,
-    the ratio underlying the Poincare bound).  Both are 0 when the expansion
-    already fits in the discrete space.
+    weighted-L2 tail (each energy term divided by the derivative-image factor
+    ``Gamma(i + 2 alpha + 1) / i!``, the ratio underlying the Poincare bound).
+    Both are 0 when the expansion already fits in the discrete space.
     """
     a_error = math.sqrt(tail_seminorm_sq(order, coeffs, n_max + 1))
-    two_alpha = order.two_alpha
     total = 0.0
     for i in range(n_max + 1, len(coeffs)):
         c = coeffs[i]
         if c != 0.0:
-            damp = math.exp(math.lgamma(i + 1.0) - math.lgamma(i + two_alpha + 1.0))
-            total += a_norm_sq_gjf(order, i) * damp * c * c
+            total += a_norm_sq_gjf(order, i) / _image_prefactor(order.alpha, i) * c * c
     return a_error, math.sqrt(total)
-
-
-def inverse_inequality_ratio(order: FractionalOrder, n_max: int) -> float:
-    """Largest eigenvalue divided by the claimed growth ``n_max^{4 alpha}``."""
-    if n_max < 1:
-        raise ValueError(f"degree must be at least 1, got {n_max}")
-    lam_max = solve(order, n_max).lambdas[-1]
-    return float(lam_max / n_max ** (2.0 * order.two_alpha))
 
 
 def spectrum_report(sol: EigenSolution) -> SpectrumReport:

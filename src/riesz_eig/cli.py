@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .assembly import assemble_mass
-from .eig import _sample_eigenfunctions, solve
+from .eig import eval_eigenfunction, solve
 from .quadrature import oracle_mass_matrix
 from .specfun import FractionalOrder
 
@@ -179,9 +179,9 @@ def cmd_eigfun(args: argparse.Namespace) -> Iterator[str]:
     """Selected eigenfunctions sampled on a uniform grid including the endpoints."""
     sol = solve(args.order, args.n)
     xs = np.linspace(-1.0, 1.0, args.samples)
-    columns = _sample_eigenfunctions(sol, args.indices, xs)
+    samples = eval_eigenfunction(sol, args.indices, xs)
     header = ["x"] + [f"u_{index}" for index in args.indices]
-    rows = (_fmt_row(row) for row in np.column_stack([xs, *columns]))
+    rows = (_fmt_row(row) for row in np.column_stack([xs, samples.T]))
     yield from _csv_lines(header, rows)
 
 

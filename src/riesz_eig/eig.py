@@ -201,9 +201,10 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     return EigenSolution(order, n_max, lambdas, parities)
 
 
-def _sample_eigenfunctions(sol: EigenSolution, indices, xs) -> list[np.ndarray]:
+def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     """Sample the eigenfunctions ``indices`` (1-based) at points in [-1, 1].
 
+    Returns an array of shape ``(len(indices), len(xs))``, one row per index.
     The Jacobi rows, the basis scale and the boundary weight are built once
     and shared by every index.  Each sample is exactly 0 at ``x = +-1``.
     """
@@ -211,26 +212,17 @@ def _sample_eigenfunctions(sol: EigenSolution, indices, xs) -> list[np.ndarray]:
         if not (1 <= index <= len(sol.lambdas)):
             raise ValueError(f"index must lie in [1, {len(sol.lambdas)}], got {index}")
     x = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # also rejects NaN
         raise ValueError("sample points must lie in [-1, 1]")
     vectors = sol.vectors
     alpha = sol.order.alpha
     scale = np.array([basis_coeff(sol.order, n) for n in range(sol.n_max + 1)])
     rows = _jacobi_all(JacobiWeightPair(alpha, alpha), sol.n_max, x)
     weight = _boundary_weight(alpha, x)
-    endpoints = np.abs(x) == 1.0
-    samples = []
-    for index in indices:
-        out = weight * ((vectors[index - 1] * scale) @ rows)
-        # normalize the signed zeros the endpoint weight can produce
-        out[endpoints] = 0.0
-        samples.append(out)
+    samples = np.empty((len(indices), x.size))
+    for out, index in zip(samples, indices):
+        # one product per index: a stacked product would round differently
+        out[:] = weight * ((vectors[index - 1] * scale) @ rows)
+    # normalize the signed zeros the endpoint weight can produce
+    samples[:, np.abs(x) == 1.0] = 0.0
     return samples
-
-
-def eval_eigenfunction(sol: EigenSolution, index: int, xs) -> np.ndarray:
-    """Sample the ``index``-th (1-based) eigenfunction at points in [-1, 1].
-
-    Returns exactly 0 at ``x = +-1``.
-    """
-    return _sample_eigenfunctions(sol, [index], xs)[0]

@@ -15,7 +15,6 @@ of a tridiagonal eigensolver, with O(m^3) work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .specfun import (
     FractionalOrder,
     JacobiWeightPair,
+    _image_prefactor,
     _jacobi_all,
     basis_coeff,
     jacobi_norm_sq,
@@ -152,11 +152,6 @@ def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) ->
 def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:
     """The full mass matrix by quadrature, as ``oracle_mass_entry`` but with one rule."""
     return _normalized_gram(order, 2.0, n_max)
-
-
-def _image_prefactor(alpha: float, m: int) -> float:
-    """``Gamma(m + 2 alpha + 1) / Gamma(m + 1)``: the degree-``m`` derivative-image factor."""
-    return math.exp(math.lgamma(m + 2.0 * alpha + 1.0) - math.lgamma(m + 1.0))
 
 
 def oracle_a_inner(order: FractionalOrder, m: int, n: int) -> float:

@@ -17,11 +17,8 @@ import numpy as np
 __all__ = [
     "FractionalOrder",
     "JacobiWeightPair",
-    "jacobi_eval",
     "jacobi_norm_sq",
-    "gjf_eval",
     "basis_coeff",
-    "riesz_derivative_image",
     "a_norm_sq_gjf",
     "tail_seminorm_sq",
 ]
@@ -31,13 +28,7 @@ _LOG_2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class FractionalOrder:
-    """Order ``2*alpha`` of the fractional operator.
-
-    The derived integer ``k`` satisfies ``2k - 1 <= two_alpha < 2k + 1`` for
-    ``two_alpha >= 1``; for ``two_alpha`` in ``(0, 1)`` we take ``k = 1`` by
-    convention (the sign factor ``(-1)**k`` never enters any symmetric
-    quantity, only the scale returned by :func:`riesz_derivative_image`).
-    """
+    """Order ``2*alpha`` of the fractional operator: positive and finite."""
 
     two_alpha: float
 
@@ -50,14 +41,6 @@ class FractionalOrder:
     @property
     def alpha(self) -> float:
         return 0.5 * self.two_alpha
-
-    @property
-    def k(self) -> int:
-        return max(1, math.floor(self.alpha + 0.5))
-
-    @property
-    def sign_k(self) -> int:
-        return -1 if self.k % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -73,30 +56,6 @@ class JacobiWeightPair:
     def __post_init__(self):
         if not (self.a > -1 and self.b > -1):
             raise ValueError(f"weight exponents must exceed -1, got ({self.a}, {self.b})")
-
-
-def _formal_weight_pair(a: float, b: float) -> JacobiWeightPair:
-    # Bypasses the integrability check: used only for the symbolic parameter
-    # label of derivative images, never for pointwise evaluation.
-    pair = object.__new__(JacobiWeightPair)
-    object.__setattr__(pair, "a", float(a))
-    object.__setattr__(pair, "b", float(b))
-    return pair
-
-
-def jacobi_eval(params: JacobiWeightPair, n: int, x):
-    """Evaluate the Jacobi polynomial of degree ``n`` for the given weight pair.
-
-    Uses the standard three-term recurrence seeded with ``P_0 = 1`` and
-    ``P_1 = (a+1) + (a+b+2)(x-1)/2``.  ``x`` may be a scalar or an array
-    with entries in [-1, 1].
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _jacobi_all(params, n, xv)[n]
-    return float(out[0]) if scalar else out
 
 
 def _jacobi_all(params: JacobiWeightPair, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -153,20 +112,6 @@ def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def gjf_eval(order: FractionalOrder, n: int, x):
-    """Evaluate the boundary-singular basis function ``(1-x^2)^alpha P_n^{alpha,alpha}``.
-
-    Returns exactly 0 at ``x = +-1``.
-    """
-    alpha = order.alpha
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    pair = JacobiWeightPair(alpha, alpha)
-    out = _boundary_weight(alpha, xv) * _jacobi_all(pair, n, xv)[n]
-    out[np.abs(xv) == 1.0] = 0.0
-    return float(out[0]) if scalar else out
-
-
 def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
     # Shared by basis_coeff and a_norm_sq_gjf: basis_coeff is exactly
     # exp(-log/2), so their product is 1 to a few ulps at any degree.
@@ -186,31 +131,15 @@ def basis_coeff(order: FractionalOrder, n: int) -> float:
     return math.exp(-0.5 * _log_a_norm_sq(order, n))
 
 
-def riesz_derivative_image(
-    order: FractionalOrder, nu: int, n: int
-) -> tuple[float, JacobiWeightPair, int]:
-    """Closed-form image of a basis function under the fractional derivative.
+def _image_prefactor(alpha: float, m: int) -> float:
+    """``Gamma(m + 2 alpha + 1) / Gamma(m + 1)``: the degree-``m`` derivative-image factor.
 
-    The derivative of order ``2*alpha - 2*nu`` maps the degree-``n`` singular
-    basis function onto a single Jacobi polynomial; this returns the triple
-    ``(scale, params, degree)`` with ``params = (alpha - 2*nu, alpha - 2*nu)``
-    and ``degree = n + 2*nu``.  When ``alpha - 2*nu <= -1`` the returned pair
-    is a formal label for a generalized Jacobi polynomial and must not be fed
-    to pointwise evaluation or quadrature.
+    The fractional derivative of order ``2*alpha`` maps the degree-``m``
+    singular basis function onto this factor times ``P_m^{alpha,alpha}``, up
+    to a sign, so each energy inner product is this factor times a Jacobi
+    product integral under the weight ``(1-x^2)^alpha``.
     """
-    alpha = order.alpha
-    if not (0 <= nu <= math.floor(alpha)):
-        raise ValueError(f"nu must lie in [0, floor(alpha)] = [0, {math.floor(alpha)}], got {nu}")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    scale = order.sign_k * math.exp(
-        2.0 * nu * _LOG_2
-        + math.lgamma(n + 2.0 * alpha - 2.0 * nu + 1.0)
-        - math.lgamma(n + 1.0)
-    )
-    a = alpha - 2.0 * nu
-    pair = JacobiWeightPair(a, a) if a > -1 else _formal_weight_pair(a, a)
-    return scale, pair, n + 2 * nu
+    return math.exp(math.lgamma(m + 2.0 * alpha + 1.0) - math.lgamma(m + 1.0))
 
 
 def a_norm_sq_gjf(order: FractionalOrder, n: int) -> float:

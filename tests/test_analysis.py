@@ -7,7 +7,6 @@ from riesz_eig.analysis import (
     condition_number,
     condition_slope,
     convergence_table,
-    inverse_inequality_ratio,
     projection_error,
     reliable_eigenvalues,
     spectrum_report,
@@ -158,11 +157,16 @@ def test_projection_error_decay_rate():
 
 
 def test_inverse_inequality_ratio_bounded():
+    # lambda_max grows like N^{4 alpha}
     order = FractionalOrder(1.2)
-    ratios = [inverse_inequality_ratio(order, n) for n in (32, 64, 128)]
+
+    def ratio(n):
+        return solve(order, n).lambdas[-1] / n ** (2 * order.two_alpha)
+
+    ratios = [ratio(n) for n in (32, 64, 128)]
     assert all(r > 0 for r in ratios)
     assert max(ratios) / min(ratios) <= 4.0
-    assert 0.0 < inverse_inequality_ratio(order, 1) < math.inf
+    assert 0.0 < ratio(1) < math.inf
 
 
 def test_spectrum_report_fields():

@@ -477,7 +477,7 @@ def _joined_output(argv):
     if args.command == "eigfun":
         sol = solve(args.order, args.n)
         xs = np.linspace(-1.0, 1.0, args.samples)
-        columns = [eval_eigenfunction(sol, index, xs) for index in args.indices]
+        columns = [eval_eigenfunction(sol, [index], xs)[0] for index in args.indices]
         header = ["x"] + [f"u_{index}" for index in args.indices]
         return _joined_csv(header, [_fmt_row(row) for row in np.column_stack([xs, *columns])])
     assert args.command == "mass"

@@ -368,10 +368,10 @@ def test_solve_single_mode():
 def test_eigenfunction_endpoints_and_parity():
     sol = solve(FractionalOrder(1.6), 32)
     xs = np.linspace(-1.0, 1.0, 101)
-    u1 = eval_eigenfunction(sol, 1, xs)
+    u1 = eval_eigenfunction(sol, [1], xs)[0]
     assert u1[0] == 0.0 and u1[-1] == 0.0
     np.testing.assert_allclose(u1, u1[::-1], atol=1e-12)  # first mode is even
-    u2 = eval_eigenfunction(sol, 2, xs)
+    u2 = eval_eigenfunction(sol, [2], xs)[0]
     np.testing.assert_allclose(u2, -u2[::-1], atol=1e-12)  # second mode is odd
 
 
@@ -379,7 +379,7 @@ def test_eigenfunction_matches_cosine():
     # at 2 alpha = 2 the first mode is exactly cos(pi x / 2), unit L2 norm
     sol = solve(FractionalOrder(2.0), 32)
     xs = np.linspace(-1.0, 1.0, 257)
-    u = eval_eigenfunction(sol, 1, xs)
+    u = eval_eigenfunction(sol, [1], xs)[0]
     expected = np.cos(math.pi * xs / 2)
     if u[len(xs) // 2] < 0:
         u = -u
@@ -395,20 +395,24 @@ def test_eigenfunctions_share_one_basis_bit_for_bit(two_alpha, n_max):
     indices = sorted({1, n_max // 2 + 1, n_max + 1})
     alpha = order.alpha
     rows = _jacobi_all(JacobiWeightPair(alpha, alpha), n_max, xs)
-    for index, got in zip(indices, riesz_eig.eig._sample_eigenfunctions(sol, indices, xs)):
+    samples = eval_eigenfunction(sol, indices, xs)
+    assert samples.shape == (len(indices), xs.size)
+    for index, got in zip(indices, samples):
         coeffs = sol.vectors[index - 1] * np.array([basis_coeff(order, n) for n in range(n_max + 1)])
         expected = _boundary_weight(alpha, xs) * (coeffs @ rows)
         expected[np.abs(xs) == 1.0] = 0.0
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
-        np.testing.assert_array_equal(eval_eigenfunction(sol, index, xs), expected)
+        np.testing.assert_array_equal(eval_eigenfunction(sol, [index], xs)[0], expected)
 
 
 def test_eigenfunction_argument_checks():
     sol = solve(FractionalOrder(1.6), 8)
     with pytest.raises(ValueError):
-        eval_eigenfunction(sol, 0, [0.0])
+        eval_eigenfunction(sol, [0], [0.0])
     with pytest.raises(ValueError):
-        eval_eigenfunction(sol, 10, [0.0])
+        eval_eigenfunction(sol, [1, 10], [0.0])
     with pytest.raises(ValueError):
-        eval_eigenfunction(sol, 1, [1.5])
+        eval_eigenfunction(sol, [1], [1.5])
+    with pytest.raises(ValueError):
+        eval_eigenfunction(sol, [1], [math.nan, 0.0])

@@ -46,6 +46,8 @@ def test_dense_commands_load_no_scipy():
     argvs = [
         ["eig", "--two-alpha", "1.6", "--n", "16"],
         ["eig", "--two-alpha", "1.6", "--n", "16", "--format", "json"],
+        ["eig", "--two-alpha", "1.6", "--n", "16", "--vectors"],
+        ["eigfun", "--two-alpha", "1.6", "--n", "16", "--indices", "1,2"],
         ["weyl", "--two-alpha", "1.2", "--n", "16"],
         ["condition", "--two-alpha", "1.8", "--n-list", "4,8,16"],
         ["convergence", "--two-alpha", "1.6", "--n-list", "4,8", "--reference-n", "16"],

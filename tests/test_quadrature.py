@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,6 +124,11 @@ def test_node_interlacing(pair):
 def test_gauss_jacobi_rejects_bad_input():
     with pytest.raises(ValueError):
         gauss_jacobi(JacobiWeightPair(0.0, 0.0), 0)
+    # a pair that bypasses JacobiWeightPair's own check is still refused
+    with pytest.raises(ValueError):
+        gauss_jacobi(SimpleNamespace(a=-1.2, b=-1.2), 3)
+    with pytest.raises(ValueError):
+        gauss_jacobi(SimpleNamespace(a=0.5, b=-1.0), 3)
 
 
 def test_oracle_mass_entry_values():

@@ -7,12 +7,12 @@ from scipy.special import eval_jacobi
 from riesz_eig.specfun import (
     FractionalOrder,
     JacobiWeightPair,
+    _boundary_weight,
+    _image_prefactor,
+    _jacobi_all,
     a_norm_sq_gjf,
     basis_coeff,
-    gjf_eval,
-    jacobi_eval,
     jacobi_norm_sq,
-    riesz_derivative_image,
     tail_seminorm_sq,
 )
 from riesz_eig.quadrature import gauss_jacobi
@@ -26,11 +26,7 @@ from riesz_eig.quadrature import gauss_jacobi
 ])
 def test_order_k(two_alpha, k):
     order = FractionalOrder(two_alpha)
-    assert order.k == k
-    assert order.sign_k == (-1) ** k
     assert order.alpha == two_alpha / 2
-    if two_alpha >= 1:
-        assert 2 * order.k - 1 <= two_alpha < 2 * order.k + 1
 
 
 @pytest.mark.parametrize("two_alpha", [0.0, -0.5, -2.0, math.inf, math.nan])
@@ -46,13 +42,27 @@ def test_weight_pair_rejects_out_of_range():
         JacobiWeightPair(0.0, -1.5)
 
 
-# -------------------------------------------------------------- jacobi_eval
+# ------------------------------------------------------------- _jacobi_all
+
+def _jacobi(pair, n, x):
+    """Degree-``n`` row of ``_jacobi_all`` at the point or points ``x``."""
+    values = _jacobi_all(pair, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
+    return float(values[0]) if np.ndim(x) == 0 else values
+
+
+def _gjf(order, n, x):
+    """The basis function ``(1-x^2)^alpha P_n^{alpha,alpha}`` from the kept pieces."""
+    alpha = order.alpha
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    values = _boundary_weight(alpha, xv) * _jacobi_all(JacobiWeightPair(alpha, alpha), n, xv)[n]
+    return float(values[0]) if np.ndim(x) == 0 else values
+
 
 def test_jacobi_low_degrees():
     pair = JacobiWeightPair(1.0, 1.0)
-    assert jacobi_eval(pair, 0, 0.3) == 1.0
-    assert jacobi_eval(pair, 1, 0.5) == 1.0  # (a+1) x for a = b = 1
-    assert math.isclose(jacobi_eval(pair, 2, 0.0), -0.75, rel_tol=1e-15)
+    assert _jacobi(pair, 0, 0.3) == 1.0
+    assert _jacobi(pair, 1, 0.5) == 1.0  # (a+1) x for a = b = 1
+    assert math.isclose(_jacobi(pair, 2, 0.0), -0.75, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.0, 1.0), (0.8, 0.8), (2.8, 2.8), (0.3, 1.7), (-0.5, 0.25)])
@@ -60,7 +70,7 @@ def test_jacobi_matches_scipy(a, b):
     pair = JacobiWeightPair(a, b)
     x = np.linspace(-1.0, 1.0, 41)
     for n in (0, 1, 2, 3, 7, 15):
-        ours = jacobi_eval(pair, n, x)
+        ours = _jacobi(pair, n, x)
         ref = eval_jacobi(n, a, b, x)
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
@@ -69,7 +79,8 @@ def test_jacobi_matches_scipy(a, b):
 def test_jacobi_recurrence_residual(a, b):
     pair = JacobiWeightPair(a, b)
     x = np.linspace(-1.0, 1.0, 17)
-    values = {n: jacobi_eval(pair, n, x) for n in range(12)}
+    rows = _jacobi_all(pair, 11, x)
+    values = {n: rows[n] for n in range(12)}
     for n in range(2, 12):
         s = 2.0 * n + a + b
         c0 = 2.0 * n * (n + a + b) * (s - 2.0)
@@ -93,25 +104,25 @@ def test_jacobi_norm_sq_known():
 def test_jacobi_norm_sq_against_quadrature():
     pair = JacobiWeightPair(1.0, 1.0)
     rule = gauss_jacobi(pair, 4)
-    values = jacobi_eval(pair, 2, rule.nodes)
+    values = _jacobi_all(pair, 2, rule.nodes)[2]
     quad = rule.integrate(values * values)
     assert math.isclose(jacobi_norm_sq(pair, 2), quad, rel_tol=1e-13)
 
 
 def test_gjf_basic_values():
     order = FractionalOrder(2.0)
-    assert gjf_eval(order, 0, 0.0) == 1.0
+    assert _gjf(order, 0, 0.0) == 1.0
     for n in (0, 1, 5):
         for order2 in (order, FractionalOrder(1.6), FractionalOrder(0.4)):
-            assert gjf_eval(order2, n, 1.0) == 0.0
-            assert gjf_eval(order2, n, -1.0) == 0.0
+            assert _gjf(order2, n, 1.0) == 0.0
+            assert _gjf(order2, n, -1.0) == 0.0
 
 
 def test_gjf_compositional_identity():
     order = FractionalOrder(1.6)
     x = 0.4
-    direct = (1.0 - x * x) ** 0.8 * jacobi_eval(JacobiWeightPair(0.8, 0.8), 3, x)
-    assert math.isclose(gjf_eval(order, 3, x), direct, rel_tol=1e-13)
+    direct = (1.0 - x * x) ** 0.8 * _jacobi(JacobiWeightPair(0.8, 0.8), 3, x)
+    assert math.isclose(_gjf(order, 3, x), direct, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("two_alpha", [3.0, 5.6])
@@ -123,7 +134,7 @@ def test_gjf_derivative_vanishes_at_endpoints(two_alpha):
         mags = []
         for h in (1e-2, 1e-4, 1e-6):
             x = x0 - math.copysign(h, x0)
-            fd = (gjf_eval(order, 2, x + h / 2) - gjf_eval(order, 2, x - h / 2)) / h
+            fd = (_gjf(order, 2, x + h / 2) - _gjf(order, 2, x - h / 2)) / h
             mags.append(abs(fd))
         assert mags[0] > mags[1] > mags[2]
         assert mags[2] <= 0.1 * mags[0]
@@ -149,52 +160,13 @@ def test_basis_coeff_no_overflow_at_large_degree():
     assert 0.0 < c < math.inf
 
 
-# -------------------------------------------------- riesz_derivative_image
+# ---------------------------------------------------- derivative image
 
-def test_derivative_image_integer_order():
-    scale, pair, degree = riesz_derivative_image(FractionalOrder(2.0), 0, 0)
-    assert math.isclose(scale, -2.0, rel_tol=1e-14)
-    assert (pair.a, pair.b) == (1.0, 1.0)
-    assert degree == 0
-
-
-def test_derivative_image_fractional_order():
-    scale, pair, degree = riesz_derivative_image(FractionalOrder(1.6), 0, 0)
-    assert math.isclose(scale, -math.gamma(2.6), rel_tol=1e-14)
-    assert math.isclose(pair.a, 0.8)
-    assert degree == 0
-
-
-def test_derivative_image_lowered_order():
-    scale, pair, degree = riesz_derivative_image(FractionalOrder(3.0), 1, 2)
-    assert math.isclose(scale, 12.0, rel_tol=1e-14)
-    assert (pair.a, pair.b) == (-0.5, -0.5)
-    assert degree == 4
-
-
-def test_derivative_image_formal_label():
-    # alpha - 2 nu <= -1 is allowed as a symbolic label only
-    scale, pair, degree = riesz_derivative_image(FractionalOrder(5.6), 2, 1)
-    assert math.isclose(pair.a, 2.8 - 4.0)
-    assert degree == 5
-    assert scale < 0  # (-1)^k with k = 3 flips the positive gamma ratio
-    # but such labels are rejected by every evaluation path
-    with pytest.raises(ValueError):
-        gauss_jacobi(pair, 3)
-
-
-def test_derivative_image_k_sign():
-    # k = 3 for two_alpha = 5.6: odd, so the scale flips sign
-    scale, _, _ = riesz_derivative_image(FractionalOrder(5.6), 0, 0)
-    assert scale < 0
-
-
-def test_derivative_image_rejects_bad_nu():
-    order = FractionalOrder(1.6)  # floor(alpha) = 0
-    with pytest.raises(ValueError):
-        riesz_derivative_image(order, 1, 0)
-    with pytest.raises(ValueError):
-        riesz_derivative_image(order, -1, 0)
+def test_image_prefactor_known_values():
+    # Gamma(m + 2 alpha + 1) / m!
+    assert math.isclose(_image_prefactor(1.0, 0), 2.0, rel_tol=1e-14)
+    assert math.isclose(_image_prefactor(0.8, 0), math.gamma(2.6), rel_tol=1e-14)
+    assert math.isclose(_image_prefactor(1.5, 4), math.factorial(7) / math.factorial(4), rel_tol=1e-13)
 
 
 # ------------------------------------------------------------ energy norms
