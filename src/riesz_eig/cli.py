@@ -3,7 +3,8 @@
 Every number is serialized with 17 significant digits so files round-trip
 exactly, and file output goes through a temp-file-plus-rename (a FIFO or
 device is written in place) so interrupted runs never leave truncated
-artifacts.  Identical invocations produce byte-identical files.  Each
+artifacts.  Identical invocations under one BLAS thread setting produce
+byte-identical files (LAPACK's results depend on its thread count).  Each
 ``cmd_*`` yields its output line by line and ``_write`` streams the lines,
 so no table is held as one string.
 """
@@ -47,6 +48,27 @@ def _fmt_row(values, sep: str = ",") -> str:
     """``sep.join(_fmt(v) for v in values)``, formatted in one pass."""
     row = np.asarray(values, dtype=float).tolist()
     return sep.join(["%.17g"] * len(row)) % tuple(row)
+
+
+def _parity_rows(matrix, parities, sep: str = ",") -> Iterator[str]:
+    """``_fmt_row(row, sep)`` for each row of ``matrix``, formatting half of it.
+
+    ``parities`` tags each row ``"even"`` or ``"odd"``: only the columns of
+    that parity are formatted.  The other columns of the row must hold zeros
+    of one sign, that of the first of them, and are written as the literal
+    ``0`` or ``-0`` that ``%.17g`` prints for it.
+    """
+    width = matrix.shape[1]
+    templates = {}
+    for row, parity in zip(matrix, parities):
+        start = 1 if parity == "odd" else 0
+        negative = 1 - start < width and bool(np.signbit(row[1 - start]))
+        template = templates.get((start, negative))
+        if template is None:
+            cells = ["%.17g"] * width
+            cells[1 - start::2] = ["-0" if negative else "0"] * len(cells[1 - start::2])
+            template = templates[start, negative] = sep.join(cells)
+        yield template % tuple(row[start::2].tolist())
 
 
 def _atomic_write(path: str, lines: Iterable[str]) -> None:
@@ -132,15 +154,15 @@ def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
             yield "{" + ", ".join(fields) + "}\n"
             return
         yield "{" + ", ".join(fields) + ', "vectors": ['
-        for i, vec in enumerate(vectors):
-            yield (", [" if i else "[") + _fmt_row(vec, ", ") + "]"
+        for i, row in enumerate(_parity_rows(vectors, sol.parities, ", ")):
+            yield (", [" if i else "[") + row + "]"
         yield "]}\n"
         return
     header = ["n", "lambda"]
     rows = (f"{i + 1},{_fmt(lam)}" for i, lam in enumerate(sol.lambdas.tolist()))
     if vectors is not None:
         header += [f"c{j}" for j in range(args.n + 1)]
-        rows = (f"{row},{_fmt_row(vec)}" for row, vec in zip(rows, vectors))
+        rows = (f"{row},{vec}" for row, vec in zip(rows, _parity_rows(vectors, sol.parities)))
     yield from _csv_lines(header, rows)
 
 
@@ -191,7 +213,7 @@ def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
     if args.verify_oracle:
         worst = np.max(np.triu(np.abs(mass.entries - oracle_mass_matrix(args.order, args.n))))
     header = [f"j{j}" for j in range(args.n + 1)]
-    yield from _csv_lines(header, (_fmt_row(row) for row in mass.entries))
+    yield from _csv_lines(header, _parity_rows(mass.entries, itertools.cycle(("even", "odd"))))
     if args.verify_oracle:
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 

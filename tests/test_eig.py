@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -54,6 +56,18 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         sym_eig(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("asym, accepted", [(4e-15, True), (1e-13, False)])
+def test_sym_eig_symmetry_tolerance(asym, accepted):
+    # relative to the largest entry 2: 2e-14 is the largest asymmetry accepted
+    m = np.array([[2.0, 1.0], [1.0 + asym, 2.0]])
+    assert m[1, 0] != m[0, 1]
+    if accepted:
+        np.testing.assert_allclose(sym_eig(m)[0], [1.0, 3.0], rtol=1e-13)
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_eig(m)
 
 
 def test_solve_classical_limit():
@@ -326,6 +340,92 @@ def test_dense_vectors_go_through_sym_eig(monkeypatch):
     solve(FractionalOrder(1.6), 0).vectors
     solve(FractionalOrder(2.0), 8).vectors
     assert dims == [5, 4, 1]
+
+
+def _pin_blas(monkeypatch, pinned):
+    """Make the environment read as BLAS pinned to one thread, or as unpinned."""
+    for name in riesz_eig.eig._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if pinned:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, False),
+])
+def test_blas_thread_variables_read_in_openblas_order(monkeypatch, env, pinned):
+    _pin_blas(monkeypatch, False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert riesz_eig.eig._blas_single_threaded() is pinned
+
+
+@pytest.mark.parametrize("two_alpha, n_max, pinned, concurrent", [
+    (1.6, 1024, True, True),
+    (1.6, 1024, False, False),
+    (1.6, 1022, True, False),  # an odd block of 511 rows, below the cutoff
+    (2.0, 1024, True, False),  # banded blocks stay serial
+])
+def test_blocks_run_concurrently_only_when_pinned_large_and_dense(
+    monkeypatch, two_alpha, n_max, pinned, concurrent
+):
+    import scipy.linalg
+
+    helper_calls = []
+
+    def recording(driver):
+        def run(block):
+            helper_calls.append(threading.current_thread() is not threading.main_thread())
+            return driver(block)
+        return run
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", recording(scipy.linalg.eigvals_banded))
+    _pin_blas(monkeypatch, pinned)
+    solve(FractionalOrder(two_alpha), n_max)
+    assert sorted(helper_calls) == ([False, True] if concurrent else [False, False])
+
+
+@pytest.mark.parametrize("two_alpha", [1.6, 3.6])
+def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
+    order = FractionalOrder(two_alpha)
+    _pin_blas(monkeypatch, False)
+    serial = solve(order, 1024)
+    serial_vectors = serial.vectors
+    _pin_blas(monkeypatch, True)
+    concurrent = solve(order, 1024)
+    np.testing.assert_array_equal(concurrent.lambdas, serial.lambdas)
+    assert concurrent.parities == serial.parities
+    np.testing.assert_array_equal(concurrent.vectors, serial_vectors)
+    np.testing.assert_array_equal(np.signbit(concurrent.vectors), np.signbit(serial_vectors))
+
+
+@pytest.mark.parametrize("failing, named", [(("even", "odd"), "even"), (("odd",), "odd")])
+def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failing, named):
+    # at N = 1024 the even block has 513 rows and the odd one 512
+    sizes = {"even": 513, "odd": 512}
+    eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh_losing_small_end(block):
+        values = eigvalsh(block)
+        if len(block) == sizes["odd"]:
+            time.sleep(0.2)  # the helper's block fails last
+        if len(block) in {sizes[tag] for tag in failing}:
+            values[0] = -1e-21
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_losing_small_end)
+    _pin_blas(monkeypatch, True)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        solve(FractionalOrder(1.6), 1024)
+    assert f"-1.000e-21 in the {named} block (N=1024, 2a=1.6)" in str(exc.value)
+    assert threading.active_count() == threads
 
 
 def test_parity_alternation_and_tags():
