@@ -8,14 +8,12 @@ diagonalized independently.
 
 from .specfun import (
     FractionalOrder,
-    JacobiWeightPair,
     a_norm_sq_gjf,
     basis_coeff,
     jacobi_norm_sq,
     tail_seminorm_sq,
 )
-from .quadrature import (QuadratureRule, gauss_jacobi, oracle_a_inner, oracle_mass_entry,
-                         stiffness_check)
+from .quadrature import QuadratureRule, gauss_jacobi, oracle_mass_entry, stiffness_check
 from .assembly import MassMatrix, assemble_mass, mass_entry
 from .eig import EigenSolution, eval_eigenfunction, solve, sym_eig
 from .analysis import (
@@ -35,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FractionalOrder",
-    "JacobiWeightPair",
     "QuadratureRule",
     "MassMatrix",
     "EigenSolution",
@@ -47,7 +44,6 @@ __all__ = [
     "tail_seminorm_sq",
     "gauss_jacobi",
     "oracle_mass_entry",
-    "oracle_a_inner",
     "mass_entry",
     "assemble_mass",
     "stiffness_check",

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import assemble_mass
-from .specfun import FractionalOrder, JacobiWeightPair, _boundary_weight, _jacobi_all, basis_coeff
+from .specfun import FractionalOrder, _boundary_weight, _jacobi_all, basis_coeff
 
 __all__ = ["EigenSolution", "sym_eig", "solve", "eval_eigenfunction"]
 
@@ -299,7 +299,7 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     vectors = sol.vectors
     alpha = sol.order.alpha
     scale = np.array([basis_coeff(sol.order, n) for n in range(sol.n_max + 1)])
-    rows = _jacobi_all(JacobiWeightPair(alpha, alpha), sol.n_max, x)
+    rows = _jacobi_all(alpha, sol.n_max, x)
     weight = _boundary_weight(alpha, x)
     samples = np.empty((len(indices), x.size))
     for out, index in zip(samples, indices):

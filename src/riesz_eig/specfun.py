@@ -1,10 +1,11 @@
 """Special-function layer: gamma ratios, Jacobi polynomials and the singular basis.
 
 Everything downstream (quadrature rules, matrix entries, norms) is a ratio of
-gamma functions times a polynomial value.  The norms and scales here are
-assembled in the log domain so that large indices never overflow; the mass
-entries (``assembly``) reduce their gamma ratios to running products of
-rational factors instead.
+gamma functions times a polynomial value.  The Jacobi polynomials are the
+``P_n^{s,s}`` of the symmetric weight ``(1-x^2)^s``, the only family the basis
+and its integrals use.  The norms and scales here are assembled in the log
+domain so that large indices never overflow; the mass entries (``assembly``)
+reduce their gamma ratios to running products of rational factors instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "FractionalOrder",
-    "JacobiWeightPair",
     "jacobi_norm_sq",
     "basis_coeff",
     "a_norm_sq_gjf",
@@ -43,61 +43,47 @@ class FractionalOrder:
         return 0.5 * self.two_alpha
 
 
-@dataclass(frozen=True)
-class JacobiWeightPair:
-    """Exponent pair ``(a, b)`` of the weight ``(1-x)**a * (1+x)**b``.
-
-    Both exponents must exceed -1 for the weight to be integrable.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > -1 and self.b > -1):
-            raise ValueError(f"weight exponents must exceed -1, got ({self.a}, {self.b})")
-
-
-def _jacobi_all(params: JacobiWeightPair, n_max: int, x: np.ndarray) -> np.ndarray:
-    """All Jacobi polynomial values ``P_0 .. P_{n_max}`` at the points ``x``.
+def _jacobi_all(s: float, n_max: int, x: np.ndarray) -> np.ndarray:
+    """All Jacobi polynomial values ``P_0^{s,s} .. P_{n_max}^{s,s}`` at the points ``x``.
 
     Returns an array of shape ``(n_max + 1, len(x))``.
     """
-    a, b = params.a, params.b
     out = np.empty((n_max + 1, x.size))
     out[0] = 1.0
     if n_max == 0:
         return out
-    out[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    out[1] = (s + 1.0) + (s + 1.0) * (x - 1.0)
     for k in range(2, n_max + 1):
-        s = 2.0 * k + a + b
-        c0 = 2.0 * k * (k + a + b) * (s - 2.0)
-        c1 = (s - 1.0) * (a * a - b * b)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        out[k] = ((c1 + c2 * x) * out[k - 1] - c3 * out[k - 2]) / c0
+        t = 2.0 * k + s + s
+        c0 = 2.0 * k * (k + s + s) * (t - 2.0)
+        c2 = (t - 1.0) * t * (t - 2.0)
+        c3 = 2.0 * (k + s - 1.0) * (k + s - 1.0) * t
+        out[k] = (c2 * x * out[k - 1] - c3 * out[k - 2]) / c0
     return out
 
 
-def jacobi_norm_sq(params: JacobiWeightPair, n: int) -> float:
-    """Squared weighted L2 norm of the degree-``n`` Jacobi polynomial."""
-    a, b = params.a, params.b
+def jacobi_norm_sq(s: float, n: int) -> float:
+    """Squared L2 norm of ``P_n^{s,s}`` under the weight ``(1-x^2)^s``, ``s > -1``."""
+    if not s > -1:
+        raise ValueError(f"weight exponent must exceed -1, got {s}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     if n == 0:
-        # gamma_0 via Gamma(a+b+2) keeps every lgamma argument positive even
-        # when a + b + 1 <= 0.
+        # gamma_0 via Gamma(2s+2) keeps every lgamma argument positive even
+        # when 2s + 1 <= 0.
         return math.exp(
-            (a + b + 1.0) * _LOG_2
-            + math.lgamma(a + 1.0)
-            + math.lgamma(b + 1.0)
-            - math.lgamma(a + b + 2.0)
+            (s + s + 1.0) * _LOG_2
+            + math.lgamma(s + 1.0)
+            + math.lgamma(s + 1.0)
+            - math.lgamma(s + s + 2.0)
         )
     return math.exp(
-        (a + b + 1.0) * _LOG_2
-        - math.log(2.0 * n + a + b + 1.0)
-        + math.lgamma(n + a + 1.0)
-        + math.lgamma(n + b + 1.0)
+        (s + s + 1.0) * _LOG_2
+        - math.log(2.0 * n + s + s + 1.0)
+        + math.lgamma(n + s + 1.0)
+        + math.lgamma(n + s + 1.0)
         - math.lgamma(n + 1.0)
-        - math.lgamma(n + a + b + 1.0)
+        - math.lgamma(n + s + s + 1.0)
     )
 
 
@@ -115,6 +101,8 @@ def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:
 def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
     # Shared by basis_coeff and a_norm_sq_gjf: basis_coeff is exactly
     # exp(-log/2), so their product is 1 to a few ulps at any degree.
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     alpha = order.alpha
     return (
         (2.0 * alpha + 1.0) * _LOG_2
@@ -152,6 +140,9 @@ def tail_seminorm_sq(order: FractionalOrder, coeffs, start: int = 0) -> float:
 
     With ``start = 0`` this is the squared energy seminorm of the expansion.
     """
+    if start < 0:
+        # a negative start would read coeffs from the end as degree -1, -2, ...
+        raise ValueError(f"degree must be nonnegative, got {start}")
     total = 0.0
     for i in range(start, len(coeffs)):
         c = coeffs[i]

@@ -156,7 +156,7 @@ def test_projection_error_decay_rate():
     assert abs(slope - (order.alpha - p)) <= 0.25
 
 
-def test_inverse_inequality_ratio_bounded():
+def test_lambda_max_over_n_to_4alpha_bounded():
     # lambda_max grows like N^{4 alpha}
     order = FractionalOrder(1.2)
 

@@ -15,7 +15,6 @@ from riesz_eig.assembly import assemble_mass
 from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
 from riesz_eig.specfun import (
     FractionalOrder,
-    JacobiWeightPair,
     _boundary_weight,
     _jacobi_all,
     basis_coeff,
@@ -494,7 +493,7 @@ def test_eigenfunctions_share_one_basis_bit_for_bit(two_alpha, n_max):
     xs = np.linspace(-1.0, 1.0, 129)
     indices = sorted({1, n_max // 2 + 1, n_max + 1})
     alpha = order.alpha
-    rows = _jacobi_all(JacobiWeightPair(alpha, alpha), n_max, xs)
+    rows = _jacobi_all(alpha, n_max, xs)
     samples = eval_eigenfunction(sol, indices, xs)
     assert samples.shape == (len(indices), xs.size)
     for index, got in zip(indices, samples):

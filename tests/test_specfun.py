@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
+from riesz_eig.analysis import projection_error
 from riesz_eig.specfun import (
     FractionalOrder,
-    JacobiWeightPair,
     _boundary_weight,
     _image_prefactor,
     _jacobi_all,
@@ -35,18 +35,33 @@ def test_order_rejects_nonpositive(two_alpha):
         FractionalOrder(two_alpha)
 
 
-def test_weight_pair_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        JacobiWeightPair(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        JacobiWeightPair(0.0, -1.5)
+def test_weight_exponent_rejects_out_of_range():
+    # gauss_jacobi checks the exponent the same way (test_quadrature)
+    for s in (-1.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="weight exponent"):
+            jacobi_norm_sq(s, 0)
+
+
+def test_negative_degree_is_named():
+    order = FractionalOrder(1.6)
+    coeffs = [1.0, 0.5, 0.0]
+    calls = [
+        lambda: basis_coeff(order, -1),
+        lambda: a_norm_sq_gjf(order, -3),
+        lambda: jacobi_norm_sq(0.8, -1),
+        lambda: tail_seminorm_sq(order, coeffs, start=-1),
+        lambda: projection_error(order, coeffs, -2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -"):
+            call()
 
 
 # ------------------------------------------------------------- _jacobi_all
 
-def _jacobi(pair, n, x):
+def _jacobi(s, n, x):
     """Degree-``n`` row of ``_jacobi_all`` at the point or points ``x``."""
-    values = _jacobi_all(pair, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
+    values = _jacobi_all(s, n, np.atleast_1d(np.asarray(x, dtype=float)))[n]
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
@@ -54,40 +69,41 @@ def _gjf(order, n, x):
     """The basis function ``(1-x^2)^alpha P_n^{alpha,alpha}`` from the kept pieces."""
     alpha = order.alpha
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    values = _boundary_weight(alpha, xv) * _jacobi_all(JacobiWeightPair(alpha, alpha), n, xv)[n]
+    values = _boundary_weight(alpha, xv) * _jacobi_all(alpha, n, xv)[n]
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
+def _pair_id(s):
+    # named as the exponent pair (a, b) of P_n^{a,b} with a = b = s
+    return f"{s}-{s}"
+
+
 def test_jacobi_low_degrees():
-    pair = JacobiWeightPair(1.0, 1.0)
-    assert _jacobi(pair, 0, 0.3) == 1.0
-    assert _jacobi(pair, 1, 0.5) == 1.0  # (a+1) x for a = b = 1
-    assert math.isclose(_jacobi(pair, 2, 0.0), -0.75, rel_tol=1e-15)
+    assert _jacobi(1.0, 0, 0.3) == 1.0
+    assert _jacobi(1.0, 1, 0.5) == 1.0  # (s+1) x for s = 1
+    assert math.isclose(_jacobi(1.0, 2, 0.0), -0.75, rel_tol=1e-15)
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.0, 1.0), (0.8, 0.8), (2.8, 2.8), (0.3, 1.7), (-0.5, 0.25)])
-def test_jacobi_matches_scipy(a, b):
-    pair = JacobiWeightPair(a, b)
+@pytest.mark.parametrize("s", [0.0, 1.0, 0.8, 2.8, -0.5], ids=_pair_id)
+def test_jacobi_matches_scipy(s):
     x = np.linspace(-1.0, 1.0, 41)
     for n in (0, 1, 2, 3, 7, 15):
-        ours = _jacobi(pair, n, x)
-        ref = eval_jacobi(n, a, b, x)
+        ours = _jacobi(s, n, x)
+        ref = eval_jacobi(n, s, s, x)
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.65, 0.65), (0.3, 1.7)])
-def test_jacobi_recurrence_residual(a, b):
-    pair = JacobiWeightPair(a, b)
+@pytest.mark.parametrize("s", [1.0, 0.65], ids=_pair_id)
+def test_jacobi_recurrence_residual(s):
     x = np.linspace(-1.0, 1.0, 17)
-    rows = _jacobi_all(pair, 11, x)
+    rows = _jacobi_all(s, 11, x)
     values = {n: rows[n] for n in range(12)}
     for n in range(2, 12):
-        s = 2.0 * n + a + b
-        c0 = 2.0 * n * (n + a + b) * (s - 2.0)
-        c1 = (s - 1.0) * (a * a - b * b)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-        resid = c0 * values[n] - ((c1 + c2 * x) * values[n - 1] - c3 * values[n - 2])
+        t = 2.0 * n + 2.0 * s
+        c0 = 2.0 * n * (n + 2.0 * s) * (t - 2.0)
+        c2 = (t - 1.0) * t * (t - 2.0)
+        c3 = 2.0 * (n + s - 1.0) ** 2 * t
+        resid = c0 * values[n] - (c2 * x * values[n - 1] - c3 * values[n - 2])
         scale = np.maximum(1.0, np.abs(values[n]))
         assert np.max(np.abs(resid) / (c0 * scale)) <= 1e-12
 
@@ -95,18 +111,17 @@ def test_jacobi_recurrence_residual(a, b):
 # ------------------------------------------------------------ norms, basis
 
 def test_jacobi_norm_sq_known():
-    assert math.isclose(jacobi_norm_sq(JacobiWeightPair(1.0, 1.0), 0), 4.0 / 3.0, rel_tol=1e-14)
-    assert math.isclose(jacobi_norm_sq(JacobiWeightPair(0.0, 0.0), 0), 2.0, rel_tol=1e-15)
-    # Chebyshev corner a + b = -1: zeroth moment is pi
-    assert math.isclose(jacobi_norm_sq(JacobiWeightPair(-0.5, -0.5), 0), math.pi, rel_tol=1e-14)
+    assert math.isclose(jacobi_norm_sq(1.0, 0), 4.0 / 3.0, rel_tol=1e-14)
+    assert math.isclose(jacobi_norm_sq(0.0, 0), 2.0, rel_tol=1e-15)
+    # Chebyshev corner 2s + 1 = 0: zeroth moment is pi
+    assert math.isclose(jacobi_norm_sq(-0.5, 0), math.pi, rel_tol=1e-14)
 
 
 def test_jacobi_norm_sq_against_quadrature():
-    pair = JacobiWeightPair(1.0, 1.0)
-    rule = gauss_jacobi(pair, 4)
-    values = _jacobi_all(pair, 2, rule.nodes)[2]
+    rule = gauss_jacobi(1.0, 4)
+    values = _jacobi_all(1.0, 2, rule.nodes)[2]
     quad = rule.integrate(values * values)
-    assert math.isclose(jacobi_norm_sq(pair, 2), quad, rel_tol=1e-13)
+    assert math.isclose(jacobi_norm_sq(1.0, 2), quad, rel_tol=1e-13)
 
 
 def test_gjf_basic_values():
@@ -121,7 +136,7 @@ def test_gjf_basic_values():
 def test_gjf_compositional_identity():
     order = FractionalOrder(1.6)
     x = 0.4
-    direct = (1.0 - x * x) ** 0.8 * _jacobi(JacobiWeightPair(0.8, 0.8), 3, x)
+    direct = (1.0 - x * x) ** 0.8 * _jacobi(0.8, 3, x)
     assert math.isclose(_gjf(order, 3, x), direct, rel_tol=1e-13)
 
 
@@ -180,17 +195,13 @@ def test_a_norm_gamma_ratio_identity(two_alpha, n):
     # |J_n|^2 = Gamma(n+2a+1)/n! * gamma_n^{a,a}
     order = FractionalOrder(two_alpha)
     alpha = order.alpha
-    expected = math.exp(math.lgamma(n + 2 * alpha + 1) - math.lgamma(n + 1)) * jacobi_norm_sq(
-        JacobiWeightPair(alpha, alpha), n
-    )
+    expected = math.exp(math.lgamma(n + 2 * alpha + 1) - math.lgamma(n + 1)) * jacobi_norm_sq(alpha, n)
     assert math.isclose(a_norm_sq_gjf(order, n), expected, rel_tol=1e-13)
 
 
 def test_a_norm_identity_spec_point():
     order = FractionalOrder(1.2)
-    expected = math.gamma(5 + 1.2 + 1) / math.factorial(5) * jacobi_norm_sq(
-        JacobiWeightPair(0.6, 0.6), 5
-    )
+    expected = math.gamma(5 + 1.2 + 1) / math.factorial(5) * jacobi_norm_sq(0.6, 5)
     assert math.isclose(a_norm_sq_gjf(order, 5), expected, rel_tol=1e-13)
 
 
