@@ -13,7 +13,9 @@ difference.  ``Q`` and ``U`` are running products of rational factors, so a
 block needs no special function beyond the three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
 each block is banded and only its band is stored.  Its dense blocks and the
-full matrix are built only on request.
+full matrix are built only on request.  ``assemble_mass`` builds the tables
+once for both blocks and refuses, by name, an order whose tables double
+precision cannot hold: not finite, or so small that every entry underflows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .specfun import FractionalOrder
 
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
+
+_TINY = np.finfo(float).tiny
 
 
 def _is_banded(order: FractionalOrder) -> bool:
@@ -65,11 +69,14 @@ class MassMatrix:
 
     @cached_property
     def even_block(self) -> np.ndarray:
-        return _dense_block(self.order.alpha, self.even_indices) if self.banded else self.even
+        return self._dense_view(self.even_indices) if self.banded else self.even
 
     @cached_property
     def odd_block(self) -> np.ndarray:
-        return _dense_block(self.order.alpha, self.odd_indices) if self.banded else self.odd
+        return self._dense_view(self.odd_indices) if self.banded else self.odd
+
+    def _dense_view(self, indices: np.ndarray) -> np.ndarray:
+        return _dense_block(_entry_tables(self.order.alpha, self.n_max), indices)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -147,16 +154,45 @@ def _entry_tables(alpha: float, m_max: int):
     return k, h, q, u
 
 
-def _entry_values(alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _checked_tables(order: FractionalOrder, n_max: int):
+    """``_entry_tables(alpha, n_max)``, refused by name where double precision cannot hold them.
+
+    The tables must be finite, and the largest entry, ``M_00 = K h_0^2``,
+    must be a normal double: below that, every entry has underflowed.
+    """
+    where = f"N={n_max}, 2a={order.two_alpha:g}"
+    try:
+        # the check below names what these warnings would only hint at
+        with np.errstate(over="ignore", invalid="ignore"):
+            k, h, q, u = tables = _entry_tables(order.alpha, n_max)
+        finite = math.isfinite(k) and all(np.all(np.isfinite(t)) for t in (h, q, u))
+    except OverflowError:  # lgamma of an order near the largest double
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"the mass matrix is not finite in double precision: its entry tables "
+            f"overflow ({where})"
+        )
+    largest = k * (h[0] * h[0])
+    if largest < _TINY:
+        raise ValueError(
+            f"every entry of the mass matrix underflows in double precision: the largest, "
+            f"M_00 = {largest:.3e}, lies below the smallest normal double {_TINY:.3e} ({where})"
+        )
+    return tables
+
+
+def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Entries ``K h_i h_j Q((i+j)/2) U(|j-i|/2)`` for broadcastable index arrays.
 
-    The indices are integers with even ``i + j``.  This serves ``mass_entry``
-    and the band of integer-``alpha`` blocks; ``_dense_block`` takes the same
-    factors in the same order, so all three agree bit for bit.
+    The indices are integers with even ``i + j``, within the ``tables`` of
+    ``_entry_tables``.  This serves ``mass_entry`` and the band of
+    integer-``alpha`` blocks; ``_dense_block`` takes the same factors in the
+    same order, so all three agree bit for bit.  Each table is a running
+    product, so a longer table holds the same bits on its common part.
     """
-    s = i + j
-    k, h, q, u = _entry_tables(alpha, int(np.max(s, initial=0)) // 2)
-    return k * (h[i] * h[j]) * q[s // 2] * u[np.abs(j - i) // 2]
+    k, h, q, u = tables
+    return k * (h[i] * h[j]) * q[(i + j) // 2] * u[np.abs(j - i) // 2]
 
 
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
@@ -165,10 +201,11 @@ def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
         raise ValueError("indices must be nonnegative")
     if (i + j) % 2 == 1:
         return 0.0
-    return float(_entry_values(order.alpha, np.array([i]), np.array([j]))[0])
+    tables = _entry_tables(order.alpha, (i + j) // 2)
+    return float(_entry_values(tables, np.array([i]), np.array([j]))[0])
 
 
-def _dense_block(alpha: float, indices: np.ndarray) -> np.ndarray:
+def _dense_block(tables, indices: np.ndarray) -> np.ndarray:
     """The dense block on ``indices`` (all of one parity), as ``_entry_values`` gives it.
 
     Within a block the sum term is a Hankel and the difference term a
@@ -179,8 +216,8 @@ def _dense_block(alpha: float, indices: np.ndarray) -> np.ndarray:
     n = indices.size
     if n == 0:
         return np.zeros((0, 0))
-    k, h, q, u = _entry_tables(alpha, int(indices[-1]))
-    hankel = sliding_window_view(q[indices[0]:], n)
+    k, h, q, u = tables
+    hankel = sliding_window_view(q[indices[0]:indices[0] + 2 * n - 1], n)
     toeplitz = sliding_window_view(np.concatenate((u[n - 1:0:-1], u[:n])), n)[::-1]
     block = np.outer(h[indices], h[indices])
     block *= k
@@ -190,13 +227,13 @@ def _dense_block(alpha: float, indices: np.ndarray) -> np.ndarray:
     return block
 
 
-def _band_block(alpha: float, indices: np.ndarray) -> np.ndarray:
-    """Upper-band storage of the block on ``indices`` for integer ``alpha``."""
-    w = min(int(alpha), max(indices.size - 1, 0))
+def _band_block(tables, width: int, indices: np.ndarray) -> np.ndarray:
+    """Upper-band storage of the block on ``indices``, ``width`` superdiagonals at most."""
+    w = min(width, max(indices.size - 1, 0))
     offset = np.arange(w, -1, -1)[:, None]  # the superdiagonal each storage row holds
     col = np.arange(indices.size)
     row = np.maximum(col - offset, 0)
-    band = np.where(col >= offset, _entry_values(alpha, indices[row], indices[col]), 0.0)
+    band = np.where(col >= offset, _entry_values(tables, indices[row], indices[col]), 0.0)
     band.setflags(write=False)
     return band
 
@@ -208,11 +245,16 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     a Hankel view of ``Q`` and a Toeplitz view of ``U``, built in O(N^2)
     flops with no per-entry special function.  For integer ``alpha`` only the
     band is evaluated and stored, O(N alpha) entries.  The odd-sum entries
-    between the blocks are exact zeros and are not stored.
+    between the blocks are exact zeros and are not stored.  An order whose
+    entries double precision cannot hold raises a ``ValueError`` naming
+    ``2a``, ``N`` and whether they overflow or underflow.
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    build = _band_block if _is_banded(order) else _dense_block
-    even = build(order.alpha, np.arange(0, n_max + 1, 2))
-    odd = build(order.alpha, np.arange(1, n_max + 1, 2))
+    tables = _checked_tables(order, n_max)
+    even, odd = (
+        _band_block(tables, int(order.alpha), indices) if _is_banded(order)
+        else _dense_block(tables, indices)
+        for indices in (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
+    )
     return MassMatrix(order, n_max, even, odd)

@@ -33,7 +33,6 @@ from .specfun import (
 __all__ = [
     "QuadratureRule",
     "gauss_jacobi",
-    "jacobi_weight_moments",
     "oracle_mass_entry",
     "oracle_mass_matrix",
     "stiffness_check",
@@ -69,12 +68,16 @@ def _recurrence_offdiagonal(s: float, m: int) -> np.ndarray:
 
 
 def gauss_jacobi(s: float, m: int) -> QuadratureRule:
-    """Construct the m-node Gauss-Jacobi rule for the weight ``(1-x^2)^s``, ``s > -1``."""
+    """Construct the m-node Gauss-Jacobi rule for the weight ``(1-x^2)^s``, ``s > -1``.
+
+    Raises ``ValueError`` for an exponent that ``jacobi_norm_sq`` refuses:
+    not finite, or too large for its log-gamma terms to keep a digit.
+    """
     m = operator.index(m)
     if m < 1:
         raise ValueError(f"rule size must be positive, got {m}")
-    if not s > -1:
-        raise ValueError(f"weight exponent must exceed -1, got {s}")
+    # first: it names every exponent the recurrence below cannot take
+    scale = jacobi_norm_sq(s, 0)
     offdiag = _recurrence_offdiagonal(s, m)
     try:
         nodes, vecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
@@ -82,25 +85,11 @@ def gauss_jacobi(s: float, m: int) -> QuadratureRule:
         raise RuntimeError(
             f"tridiagonal eigensolve failed for weight exponent {s} with {m} nodes"
         ) from exc
-    weights = jacobi_norm_sq(s, 0) * vecs[0] ** 2
+    weights = scale * vecs[0] ** 2
     # enforce the exact node/weight symmetry about 0
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes, weights)
-
-
-def jacobi_weight_moments(s: float, max_power: int) -> np.ndarray:
-    """Weighted monomial moments ``integral x^p (1-x^2)^s dx`` for p <= max_power.
-
-    The zeroth moment is a gamma ratio and the odd moments are 0; the even
-    ones follow from the integration-by-parts recurrence
-    ``(p + 2s + 2) I_{p+1} = p I_{p-1}``.
-    """
-    moments = np.zeros(max_power + 1)
-    moments[0] = jacobi_norm_sq(s, 0)
-    for p in range(1, max_power, 2):
-        moments[p + 1] = p * moments[p - 1] / (p + s + s + 2.0)
-    return moments
 
 
 def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _LOG_2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,50 @@ def _jacobi_all(s: float, n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def jacobi_norm_sq(s: float, n: int) -> float:
-    """Squared L2 norm of ``P_n^{s,s}`` under the weight ``(1-x^2)^s``, ``s > -1``."""
+    """Squared L2 norm of ``P_n^{s,s}`` under the weight ``(1-x^2)^s``, ``s > -1``.
+
+    Evaluated as the exponential of a sum of log-gamma terms, each rounded to
+    about ``eps`` of its size, so the relative error grows like
+    ``eps * x log(x)`` with ``x = n + 2s + 2``.  Raises ``ValueError`` naming
+    ``s`` where that error reaches 1 and no digit is left (from about
+    ``s = 6e13``), and where the norm overflows.
+    """
     if not s > -1:
         raise ValueError(f"weight exponent must exceed -1, got {s}")
+    if not math.isfinite(s):
+        raise ValueError(f"weight exponent must be finite, got {s}")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    top = n + s + s + 2.0  # no log-gamma argument exceeds it; lgamma(x) < x log(x) for x > 1
+    if top * math.log(top) * _EPS >= 1.0:
+        raise ValueError(
+            f"weight exponent {s} is too large: the squared norm of P_{n} has no "
+            f"correct digit in double precision"
+        )
     if n == 0:
         # gamma_0 via Gamma(2s+2) keeps every lgamma argument positive even
         # when 2s + 1 <= 0.
-        return math.exp(
+        log_norm = (
             (s + s + 1.0) * _LOG_2
             + math.lgamma(s + 1.0)
             + math.lgamma(s + 1.0)
             - math.lgamma(s + s + 2.0)
         )
-    return math.exp(
-        (s + s + 1.0) * _LOG_2
-        - math.log(2.0 * n + s + s + 1.0)
-        + math.lgamma(n + s + 1.0)
-        + math.lgamma(n + s + 1.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + s + s + 1.0)
-    )
+    else:
+        log_norm = (
+            (s + s + 1.0) * _LOG_2
+            - math.log(2.0 * n + s + s + 1.0)
+            + math.lgamma(n + s + 1.0)
+            + math.lgamma(n + s + 1.0)
+            - math.lgamma(n + 1.0)
+            - math.lgamma(n + s + s + 1.0)
+        )
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise ValueError(
+            f"the squared norm of P_{n} overflows double precision at weight exponent {s}"
+        ) from None
 
 
 def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import mpmath as mp
@@ -110,6 +111,31 @@ def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
         expected = scatter_band(getattr(mass, name))
         np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))
+
+
+@pytest.mark.parametrize("two_alpha, n_max, cause", [
+    (171.0, 0, "every entry of the mass matrix underflows"),
+    (300.0, 2, "every entry of the mass matrix underflows"),
+    (700.0, 2, "every entry of the mass matrix underflows"),
+    (300.5, 2, "every entry of the mass matrix underflows"),
+    (1e300, 2, "the mass matrix is not finite"),
+    (1.7e308, 3, "the mass matrix is not finite"),
+])
+def test_unrepresentable_mass_matrix_is_named(two_alpha, n_max, cause):
+    # refused once, from the tables, before any block holds zeros or NaN;
+    # no overflow warning or OverflowError on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            assemble_mass(FractionalOrder(two_alpha), n_max)
+    assert cause in str(exc.value)
+    assert f"(N={n_max}, 2a={two_alpha:g})" in str(exc.value)
+
+
+def test_largest_entry_in_the_normal_range_assembles():
+    # at 2a = 170, K is subnormal but M_00 = K (2a + 1) = 9.8e-308 is normal
+    mass = assemble_mass(FractionalOrder(170.0), 0)
+    assert mass.even_block[0, 0] >= np.finfo(float).tiny
 
 
 def test_scalar_entry_matches_assembled_grid():

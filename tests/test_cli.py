@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,28 @@ def test_eig_partial_underflow_is_an_error(capsys, two_alpha, n):
     assert len(lines) == 1
     assert "underflow" in lines[0]
     assert f"(N={n}, 2a={two_alpha})" in lines[0]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    ("mass --two-alpha 700 --n 2 --verify-oracle", "every entry of the mass matrix underflows"),
+    ("mass --two-alpha 300 --n 2", "every entry of the mass matrix underflows"),
+    ("mass --two-alpha 1e300 --n 2", "the mass matrix is not finite"),
+    ("mass --two-alpha 1e300 --n 2 --verify-oracle", "the mass matrix is not finite"),
+    ("eig --two-alpha 1e300 --n 2", "the mass matrix is not finite"),
+])
+def test_unrepresentable_mass_matrix_is_one_error_line(tmp_path, capsys, argv, cause):
+    # no all-zero or NaN matrix, no zero oracle deviation, no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"riesz-eig: error: {cause}")
+    assert "(N=2, 2a=" in lines[0]
+    assert run([*argv.split(), "-o", str(tmp_path / "out.csv")]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eig_subnormal_small_end_is_underflow(capsys):

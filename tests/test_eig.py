@@ -104,22 +104,28 @@ def test_solution_structure():
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(mass.entries, 2) * np.linalg.norm(vec)
 
 
-def _reference_merge(order, n_max):
+def _reference_merge(order, n_max, banded=False):
     """Per-eigenpair merge: sort by (lambda, parity, position), then fix signs.
 
-    Eigenvalues come from the values-only ``eigvalsh``, vectors from ``eigh``.
+    Eigenvalues come from the values-only ``eigvalsh``, vectors from ``eigh``;
+    with ``banded``, from ``eigvals_banded`` and ``eig_banded`` on the stored
+    bands instead.
     """
     mass = assemble_mass(order, n_max)
     merged = []
-    blocks = (
-        ("even", mass.even_indices, mass.even_block),
-        ("odd", mass.odd_indices, mass.odd_block),
-    )
-    for rank, (tag, indices, block) in enumerate(blocks):
+    blocks = (("even", mass.even_indices), ("odd", mass.odd_indices))
+    for rank, (tag, indices) in enumerate(blocks):
         if indices.size == 0:
             continue
-        values = np.linalg.eigvalsh(block)
-        mu, vecs = np.linalg.eigh(block)
+        if banded:
+            import scipy.linalg
+
+            values = scipy.linalg.eigvals_banded(getattr(mass, tag))
+            mu, vecs = scipy.linalg.eig_banded(getattr(mass, tag))
+        else:
+            block = getattr(mass, f"{tag}_block")
+            values = np.linalg.eigvalsh(block)
+            mu, vecs = np.linalg.eigh(block)
         for pos, col in enumerate(reversed(range(mu.size))):
             full = np.zeros(n_max + 1)
             full[indices] = vecs[:, col] / math.sqrt(mu[col])
@@ -312,14 +318,41 @@ def test_banded_small_degrees(two_alpha, n_max):
     assert np.all(residual <= 1e-14 * np.linalg.norm(v, axis=1))
 
 
+@pytest.mark.parametrize("two_alpha, n_max", [
+    (2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 64), (2.0, 511), (2.0, 512),
+    (2.0, 1021), (2.0, 1022), (4.0, 2), (4.0, 3),
+])
+def test_small_tridiagonal_blocks_give_the_banded_bits(monkeypatch, two_alpha, n_max):
+    # below 512 odd-block rows a tridiagonal band goes to numpy's dense
+    # drivers, whose reduction leaves it as it is: the banded drivers' values,
+    # and their vectors up to the sign that the sign rule fixes
+    import scipy.linalg
+
+    order = FractionalOrder(two_alpha)
+    lambdas, vectors, parities = _reference_merge(order, n_max, banded=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("banded driver called on a tridiagonal block below the cutoff")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", refuse)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", refuse)
+    sol = solve(order, n_max)
+    np.testing.assert_array_equal(sol.lambdas, lambdas)
+    np.testing.assert_array_equal(sol.vectors, vectors)
+    np.testing.assert_array_equal(np.signbit(sol.vectors), np.signbit(vectors))
+    assert sol.parities == parities
+
+
 def test_banded_paths_never_form_a_dense_block(monkeypatch):
+    # bands wider than tridiagonal at any size, and tridiagonal ones from 512
+    # odd-block rows on
     def refuse(*args, **kwargs):
         raise AssertionError("dense block formed on the banded path")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(riesz_eig.assembly, "_dense_block", refuse)
-    for two_alpha, n_max in ((2.0, 256), (4.0, 255)):
+    for two_alpha, n_max in ((2.0, 1024), (4.0, 255)):
         sol = solve(FractionalOrder(two_alpha), n_max)
         assert np.all(np.diff(sol.lambdas) > 0)
         assert sol.vectors.shape == (n_max + 1, n_max + 1)
@@ -337,8 +370,9 @@ def test_dense_vectors_go_through_sym_eig(monkeypatch):
     solve(FractionalOrder(1.6), 8).vectors
     assert dims == [5, 4]
     solve(FractionalOrder(1.6), 0).vectors
-    solve(FractionalOrder(2.0), 8).vectors
-    assert dims == [5, 4, 1]
+    solve(FractionalOrder(2.0), 8).vectors  # tridiagonal blocks below the cutoff
+    solve(FractionalOrder(4.0), 8).vectors  # wider bands keep the banded driver
+    assert dims == [5, 4, 1, 5, 4]
 
 
 def _pin_blas(monkeypatch, pinned):

@@ -1,4 +1,7 @@
-"""SciPy stays out of the import floor and out of every non-banded CLI call.
+"""SciPy stays out of the import floor and out of every call that needs no banded driver.
+
+Dense blocks, and tridiagonal bands (``2a = 2``) below ``N = 1023``, are
+solved with numpy's LAPACK; only wider bands and large blocks load SciPy.
 
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -42,7 +45,7 @@ def test_import_loads_no_scipy():
     assert _fresh_run([]) == {"codes": [], "scipy": []}
 
 
-def test_dense_commands_load_no_scipy():
+def test_dense_and_small_tridiagonal_commands_load_no_scipy():
     argvs = [
         ["eig", "--two-alpha", "1.6", "--n", "16"],
         ["eig", "--two-alpha", "1.6", "--n", "16", "--format", "json"],
@@ -53,11 +56,25 @@ def test_dense_commands_load_no_scipy():
         ["convergence", "--two-alpha", "1.6", "--n-list", "4,8", "--reference-n", "16"],
         ["mass", "--two-alpha", "1.6", "--n", "8"],
         ["mass", "--two-alpha", "1.6", "--n", "8", "--verify-oracle"],
+        ["eig", "--two-alpha", "2", "--n", "64"],
+        ["eig", "--two-alpha", "2", "--n", "64", "--vectors"],
+        ["eig", "--two-alpha", "2", "--n", "64", "--format", "json"],
+        ["eig", "--two-alpha", "2", "--n", "64", "--format", "json", "--vectors"],
+        ["eigfun", "--two-alpha", "2", "--n", "64", "--indices", "1,2"],
+        ["weyl", "--two-alpha", "2", "--n", "64"],
+        ["condition", "--two-alpha", "2", "--n-list", "4,8,16"],
+        ["convergence", "--two-alpha", "2", "--n-list", "4,8", "--reference-n", "1022"],
     ]
     assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": []}
 
 
 def test_scipy_paths_run_in_a_fresh_interpreter():
-    # the banded solve imports SciPy where it uses it
-    argvs = [["eig", "--two-alpha", "2.0", "--n", "16", "--vectors"]]
-    assert _fresh_run(argvs)["codes"] == [0]
+    # a band wider than tridiagonal, and a tridiagonal band of 512 odd-block
+    # rows, take SciPy's banded drivers and import SciPy where they use it
+    for argv in (
+        ["eig", "--two-alpha", "4", "--n", "16", "--vectors"],
+        ["eig", "--two-alpha", "2", "--n", "1024"],
+    ):
+        report = _fresh_run([argv])
+        assert report["codes"] == [0]
+        assert "scipy.linalg" in report["scipy"]

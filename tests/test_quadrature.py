@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from riesz_eig.assembly import assemble_mass
 from riesz_eig.quadrature import (
     _recurrence_offdiagonal,
     gauss_jacobi,
-    jacobi_weight_moments,
     oracle_mass_entry,
     oracle_mass_matrix,
     stiffness_check,
@@ -64,6 +65,20 @@ def test_quartic_moment_example():
     assert math.isclose(got, 16.0 / 315.0, rel_tol=1e-13)
 
 
+def jacobi_weight_moments(s, max_power):
+    """Weighted monomial moments ``integral x^p (1-x^2)^s dx`` for p <= max_power.
+
+    The zeroth moment is a gamma ratio and the odd moments are 0; the even
+    ones follow from the integration-by-parts recurrence
+    ``(p + 2s + 2) I_{p+1} = p I_{p-1}``.
+    """
+    moments = np.zeros(max_power + 1)
+    moments[0] = jacobi_norm_sq(s, 0)
+    for p in range(1, max_power, 2):
+        moments[p + 1] = p * moments[p - 1] / (p + s + s + 2.0)
+    return moments
+
+
 @pytest.mark.parametrize("s", EXPONENTS, ids=_weight_id)
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16, 33, 64])
 def test_degree_exactness(s, m):
@@ -113,6 +128,17 @@ def test_gauss_jacobi_rejects_bad_input():
         gauss_jacobi(0.0, 2.5)
     for s in (-1.0, -1.2, math.nan):
         with pytest.raises(ValueError, match="weight exponent"):
+            gauss_jacobi(s, 3)
+
+
+@pytest.mark.parametrize("s", [math.inf, 1e300, 1e200, 1e20])
+def test_gauss_jacobi_names_an_unrepresentable_exponent(s):
+    # a named ValueError, with no overflow warning, OverflowError or the
+    # eigensolver failure that would signal a bug
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"weight exponent {s}")
+                           if math.isfinite(s) else "weight exponent must be finite, got inf"):
             gauss_jacobi(s, 3)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
@@ -20,11 +21,8 @@ from riesz_eig.quadrature import gauss_jacobi
 
 # ---------------------------------------------------------------- order type
 
-@pytest.mark.parametrize("two_alpha,k", [
-    (0.01, 1), (0.5, 1), (0.99, 1), (1.0, 1), (1.6, 1), (2.0, 1), (2.99, 1),
-    (3.0, 2), (4.2, 2), (5.0, 3), (5.6, 3),
-])
-def test_order_k(two_alpha, k):
+@pytest.mark.parametrize("two_alpha", [0.01, 0.5, 0.99, 1.0, 1.6, 2.0, 2.99, 3.0, 4.2, 5.0, 5.6])
+def test_order_alpha(two_alpha):
     order = FractionalOrder(two_alpha)
     assert order.alpha == two_alpha / 2
 
@@ -40,6 +38,21 @@ def test_weight_exponent_rejects_out_of_range():
     for s in (-1.0, -1.5, math.nan):
         with pytest.raises(ValueError, match="weight exponent"):
             jacobi_norm_sq(s, 0)
+
+
+def test_weight_exponent_must_be_representable():
+    with pytest.raises(ValueError, match="weight exponent must be finite, got inf"):
+        jacobi_norm_sq(math.inf, 0)
+    for s in (1e300, 1e14):
+        with pytest.raises(ValueError, match=r"is too large: the squared norm of P_0 has no"):
+            jacobi_norm_sq(s, 0)
+    with pytest.raises(ValueError, match="P_4000 overflows double precision at weight exponent"):
+        jacobi_norm_sq(1e10, 4000)
+    # below the refusal the norm keeps the digits its log-gamma terms leave
+    with mp.workdps(30):
+        s = mp.mpf(10) ** 6
+        exact = mp.mpf(2) ** (2 * s + 1) * mp.gamma(s + 1) ** 2 / mp.gamma(2 * s + 2)
+    assert math.isclose(jacobi_norm_sq(1e6, 0), float(exact), rel_tol=1e-7)
 
 
 def test_negative_degree_is_named():
