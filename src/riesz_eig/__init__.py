@@ -6,13 +6,7 @@ a closed-form symmetric positive-definite mass matrix whose parity blocks are
 diagonalized independently.
 """
 
-from .specfun import (
-    FractionalOrder,
-    a_norm_sq_gjf,
-    basis_coeff,
-    jacobi_norm_sq,
-    tail_seminorm_sq,
-)
+from .specfun import FractionalOrder, basis_coeff, jacobi_norm_sq
 from .quadrature import QuadratureRule, gauss_jacobi, oracle_mass_entry, stiffness_check
 from .assembly import MassMatrix, assemble_mass, mass_entry
 from .eig import EigenSolution, eval_eigenfunction, solve, sym_eig
@@ -22,7 +16,6 @@ from .analysis import (
     condition_number,
     condition_slope,
     convergence_table,
-    projection_error,
     reliable_eigenvalues,
     solve_sweep,
     spectrum_report,
@@ -40,8 +33,6 @@ __all__ = [
     "ConvergenceTable",
     "jacobi_norm_sq",
     "basis_coeff",
-    "a_norm_sq_gjf",
-    "tail_seminorm_sq",
     "gauss_jacobi",
     "oracle_mass_entry",
     "mass_entry",
@@ -56,6 +47,5 @@ __all__ = [
     "condition_slope",
     "convergence_table",
     "reliable_eigenvalues",
-    "projection_error",
     "spectrum_report",
 ]

@@ -2,8 +2,7 @@
 
 This module post-processes eigensolutions into the study quantities: ratios
 against the expected high-index growth law, condition numbers and their
-growth exponent, reliable-eigenvalue counts against a finer reference, and
-projection-error tails for synthetic coefficient sequences.
+growth exponent, and reliable-eigenvalue counts against a finer reference.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .assembly import mass_entry
 from .eig import EigenSolution, solve
-from .specfun import FractionalOrder, _image_prefactor, a_norm_sq_gjf, tail_seminorm_sq
+from .specfun import FractionalOrder
 
 __all__ = [
     "SpectrumReport",
@@ -26,7 +25,6 @@ __all__ = [
     "condition_slope",
     "convergence_table",
     "reliable_eigenvalues",
-    "projection_error",
     "spectrum_report",
 ]
 
@@ -74,20 +72,24 @@ def condition_number(sol: EigenSolution) -> float:
     return float(sol.lambdas[-1] / sol.lambdas[0])
 
 
-def _loglog_slope(n_list, chis) -> float:
-    """Least-squares slope of ``log chi`` against ``log N``."""
+def condition_slope(order: FractionalOrder, n_list) -> tuple[list[float], float | None]:
+    """Condition numbers over ``n_list`` and the growth exponent fitted to them.
+
+    Returns ``(chis, slope)``: ``chis[k]`` is ``chi_N`` at ``N = n_list[k]``,
+    and ``slope`` is the least-squares slope of ``log chi`` against ``log N``,
+    or ``None`` when ``n_list`` holds fewer than 3 degrees.  Each distinct
+    degree is solved once.
+    """
+    n_list = list(n_list)
+    if not n_list:
+        raise ValueError("the degree list is empty")
+    sols = solve_sweep(order, n_list)
+    chis = [condition_number(sols[n]) for n in n_list]
+    if len(n_list) < 3:
+        return chis, None
     if min(n_list) < 1:
         raise ValueError(f"a log-log slope needs degrees >= 1, got degree {min(n_list)}")
-    return float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
-
-
-def condition_slope(order: FractionalOrder, n_list) -> float:
-    """Least-squares slope of log condition number against log degree."""
-    n_list = list(n_list)
-    if len(n_list) < 3:
-        raise ValueError(f"need at least 3 degrees for a slope fit, got {len(n_list)}")
-    sols = solve_sweep(order, n_list)
-    return _loglog_slope(n_list, [condition_number(sols[n]) for n in n_list])
+    return chis, float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
 
 
 def convergence_table(order: FractionalOrder, n_list, reference_n: int) -> ConvergenceTable:
@@ -96,6 +98,8 @@ def convergence_table(order: FractionalOrder, n_list, reference_n: int) -> Conve
     Errors within the double-precision plateau are reported as exact 0.
     """
     n_list = list(n_list)
+    if not n_list:
+        raise ValueError("the degree list is empty")
     if reference_n <= max(n_list):
         raise ValueError(
             f"reference degree {reference_n} must exceed every tabulated degree (max {max(n_list)})"
@@ -127,23 +131,6 @@ def reliable_eigenvalues(
         else:
             break
     return count
-
-
-def projection_error(order: FractionalOrder, coeffs, n_max: int) -> tuple[float, float]:
-    """Truncation errors of an expansion cut at degree ``n_max``.
-
-    Returns ``(a_error, l2_like_error)``: the energy-norm tail and the
-    weighted-L2 tail (each energy term divided by the derivative-image factor
-    ``Gamma(i + 2 alpha + 1) / i!``, the ratio underlying the Poincare bound).
-    Both are 0 when the expansion already fits in the discrete space.
-    """
-    a_error = math.sqrt(tail_seminorm_sq(order, coeffs, n_max + 1))
-    total = 0.0
-    for i in range(n_max + 1, len(coeffs)):
-        c = coeffs[i]
-        if c != 0.0:
-            total += a_norm_sq_gjf(order, i) / _image_prefactor(order.alpha, i) * c * c
-    return a_error, math.sqrt(total)
 
 
 def spectrum_report(sol: EigenSolution) -> SpectrumReport:

@@ -185,11 +185,9 @@ def cmd_weyl(args: argparse.Namespace) -> Iterator[str]:
 
 def cmd_condition(args: argparse.Namespace) -> Iterator[str]:
     """Condition number per degree, with the fitted growth exponent when possible."""
-    sols = analysis.solve_sweep(args.order, args.n_list)
-    chis = [analysis.condition_number(sols[n]) for n in args.n_list]
+    chis, slope = analysis.condition_slope(args.order, args.n_list)
     rows = [f"{n},{_fmt(chi)}" for n, chi in zip(args.n_list, chis)]
-    if len(args.n_list) >= 3:
-        slope = analysis._loglog_slope(args.n_list, chis)
+    if slope is not None:
         rows.append(
             f'# {{"schema": "{SCHEMA}", "two_alpha": {_fmt(args.two_alpha)}, '
             f'"slope": {_fmt(slope)}}}'

@@ -19,8 +19,6 @@ __all__ = [
     "FractionalOrder",
     "jacobi_norm_sq",
     "basis_coeff",
-    "a_norm_sq_gjf",
-    "tail_seminorm_sq",
 ]
 
 _LOG_2 = math.log(2.0)
@@ -122,8 +120,7 @@ def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
-    # Shared by basis_coeff and a_norm_sq_gjf: basis_coeff is exactly
-    # exp(-log/2), so their product is 1 to a few ulps at any degree.
+    # Log of the squared energy norm of the unnormalized degree-n basis function.
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     alpha = order.alpha
@@ -151,24 +148,3 @@ def _image_prefactor(alpha: float, m: int) -> float:
     product integral under the weight ``(1-x^2)^alpha``.
     """
     return math.exp(math.lgamma(m + 2.0 * alpha + 1.0) - math.lgamma(m + 1.0))
-
-
-def a_norm_sq_gjf(order: FractionalOrder, n: int) -> float:
-    """Squared energy norm of the (unnormalized) degree-``n`` basis function."""
-    return math.exp(_log_a_norm_sq(order, n))
-
-
-def tail_seminorm_sq(order: FractionalOrder, coeffs, start: int = 0) -> float:
-    """Energy-norm tail ``sum_{i >= start} a_norm_sq_gjf(i) * coeffs[i]**2``.
-
-    With ``start = 0`` this is the squared energy seminorm of the expansion.
-    """
-    if start < 0:
-        # a negative start would read coeffs from the end as degree -1, -2, ...
-        raise ValueError(f"degree must be nonnegative, got {start}")
-    total = 0.0
-    for i in range(start, len(coeffs)):
-        c = coeffs[i]
-        if c != 0.0:
-            total += a_norm_sq_gjf(order, i) * c * c
-    return total

@@ -7,13 +7,12 @@ from riesz_eig.analysis import (
     condition_number,
     condition_slope,
     convergence_table,
-    projection_error,
     reliable_eigenvalues,
     spectrum_report,
     weyl_ratios,
 )
 from riesz_eig.eig import EigenSolution, solve
-from riesz_eig.specfun import FractionalOrder, a_norm_sq_gjf
+from riesz_eig.specfun import FractionalOrder
 
 
 def make_solution(two_alpha, n_max, lambdas):
@@ -65,13 +64,16 @@ def test_condition_prefactor_stable():
 
 
 def test_condition_slope_classical():
-    slope = condition_slope(FractionalOrder(2.0), [32, 64, 128, 256])
+    chis, slope = condition_slope(FractionalOrder(2.0), [32, 64, 128, 256])
+    assert chis == [condition_number(solve(FractionalOrder(2.0), n)) for n in (32, 64, 128, 256)]
     assert abs(slope - 4.0) <= 0.3
 
 
 def test_condition_slope_needs_three_points():
-    with pytest.raises(ValueError):
-        condition_slope(FractionalOrder(1.6), [32, 64])
+    chis, slope = condition_slope(FractionalOrder(1.6), [32, 64])
+    assert len(chis) == 2 and slope is None
+    with pytest.raises(ValueError, match="the degree list is empty"):
+        condition_slope(FractionalOrder(1.6), [])
 
 
 def test_condition_slope_rejects_degree_zero():
@@ -101,6 +103,8 @@ def test_convergence_table_single_row_and_validation():
     assert len(table.rows) == 1
     with pytest.raises(ValueError):
         convergence_table(order, [8, 16], 16)
+    with pytest.raises(ValueError, match="the degree list is empty"):
+        convergence_table(order, [], 8)
 
 
 def test_reliable_eigenvalues_prefix_semantics():
@@ -127,33 +131,6 @@ def test_reliable_eigenvalues_validation():
         reliable_eigenvalues(sol, solve(FractionalOrder(1.2), 32), 1e-4)
     with pytest.raises(ValueError):
         reliable_eigenvalues(sol, solve(order, 8), 1e-4)
-
-
-def test_projection_error_exact_on_discrete_space():
-    order = FractionalOrder(1.6)
-    assert projection_error(order, [1.0, 2.0, 3.0], 5) == (0.0, 0.0)
-
-
-def test_projection_error_single_excluded_mode():
-    order = FractionalOrder(1.6)
-    n_max = 6
-    coeffs = [0.0] * (n_max + 1) + [1.0]
-    a_err, l2_err = projection_error(order, coeffs, n_max)
-    assert math.isclose(a_err**2, a_norm_sq_gjf(order, n_max + 1), rel_tol=1e-13)
-    damp = math.exp(math.lgamma(n_max + 2.0) - math.lgamma(n_max + 1.0 + 1.6 + 1.0))
-    assert math.isclose(l2_err**2, a_norm_sq_gjf(order, n_max + 1) * damp, rel_tol=1e-13)
-    assert l2_err < a_err  # the weighted-L2 tail is the weaker norm
-
-
-def test_projection_error_decay_rate():
-    # u_i = (1+i)^-p gives an energy tail decaying like N^(alpha - p)
-    order = FractionalOrder(1.6)
-    p = 3.0
-    coeffs = [(1.0 + i) ** -p for i in range(4097)]
-    ns = [8, 16, 32, 64]
-    errs = [projection_error(order, coeffs, n)[0] for n in ns]
-    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-    assert abs(slope - (order.alpha - p)) <= 0.25
 
 
 def test_lambda_max_over_n_to_4alpha_bounded():

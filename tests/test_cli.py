@@ -492,7 +492,7 @@ def _joined_output(argv):
         chis = [analysis.condition_number(sols[n]) for n in args.n_list]
         trailer = None
         if len(args.n_list) >= 3:
-            slope = analysis._loglog_slope(args.n_list, chis)
+            slope = np.polyfit(np.log(args.n_list), np.log(chis), 1)[0]
             trailer = (f'# {{"schema": "{cli.SCHEMA}", "two_alpha": {_fmt(args.two_alpha)}, '
                        f'"slope": {_fmt(slope)}}}')
         rows = [f"{n},{_fmt(chi)}" for n, chi in zip(args.n_list, chis)]

@@ -5,8 +5,12 @@ solved with numpy's LAPACK; only wider bands and large blocks load SciPy.
 
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
+
+The package's public names are pinned here too, so that any change to the
+surface is a visible edit of this file.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -39,6 +43,24 @@ def _fresh_run(argvs):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+PUBLIC_NAMES = {
+    "FractionalOrder", "QuadratureRule", "MassMatrix", "EigenSolution", "SpectrumReport",
+    "ConvergenceTable", "jacobi_norm_sq", "basis_coeff", "gauss_jacobi", "oracle_mass_entry",
+    "mass_entry", "assemble_mass", "stiffness_check", "sym_eig", "solve", "eval_eigenfunction",
+    "solve_sweep", "weyl_ratios", "condition_number", "condition_slope", "convergence_table",
+    "reliable_eigenvalues", "spectrum_report",
+}
+MODULES = ["specfun", "quadrature", "assembly", "eig", "analysis", "cli"]
+
+
+def test_public_surface_is_pinned():
+    assert len(riesz_eig.__all__) == len(PUBLIC_NAMES)
+    assert set(riesz_eig.__all__) == PUBLIC_NAMES
+    for module in [riesz_eig, *(importlib.import_module(f"riesz_eig.{m}") for m in MODULES)]:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_import_loads_no_scipy():

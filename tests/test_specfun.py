@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from riesz_eig.analysis import projection_error
 from riesz_eig.specfun import (
     FractionalOrder,
     _boundary_weight,
     _image_prefactor,
     _jacobi_all,
-    a_norm_sq_gjf,
     basis_coeff,
     jacobi_norm_sq,
-    tail_seminorm_sq,
 )
 from riesz_eig.quadrature import gauss_jacobi
 
@@ -57,13 +54,9 @@ def test_weight_exponent_must_be_representable():
 
 def test_negative_degree_is_named():
     order = FractionalOrder(1.6)
-    coeffs = [1.0, 0.5, 0.0]
     calls = [
         lambda: basis_coeff(order, -1),
-        lambda: a_norm_sq_gjf(order, -3),
         lambda: jacobi_norm_sq(0.8, -1),
-        lambda: tail_seminorm_sq(order, coeffs, start=-1),
-        lambda: projection_error(order, coeffs, -2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="degree must be nonnegative, got -"):
@@ -173,15 +166,6 @@ def test_basis_coeff_known_value():
     assert math.isclose(basis_coeff(order, 0), math.sqrt(3.0 / 8.0), rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("two_alpha", [0.5, 1.0, 1.6, 2.0, 2.6, 3.6, 5.6])
-def test_unit_energy_normalization(two_alpha):
-    # c_n^2 * |J_n|_energy^2 = 1: the stiffness matrix is the identity
-    order = FractionalOrder(two_alpha)
-    for n in (0, 1, 2, 5, 20, 100, 1000, 10_000):
-        prod = basis_coeff(order, n) ** 2 * a_norm_sq_gjf(order, n)
-        assert math.isclose(prod, 1.0, rel_tol=1e-13)
-
-
 def test_basis_coeff_no_overflow_at_large_degree():
     order = FractionalOrder(1.6)
     c = basis_coeff(order, 100_000)
@@ -198,9 +182,11 @@ def test_image_prefactor_known_values():
 
 
 # ------------------------------------------------------------ energy norms
+# basis_coeff(n) ** -2 is the squared energy norm |J_n|^2 of the unnormalized
+# degree-n basis function.
 
 def test_a_norm_known_value():
-    assert math.isclose(a_norm_sq_gjf(FractionalOrder(2.0), 0), 8.0 / 3.0, rel_tol=1e-14)
+    assert math.isclose(basis_coeff(FractionalOrder(2.0), 0) ** -2, 8.0 / 3.0, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("two_alpha,n", [(1.2, 0), (1.2, 5), (2.6, 3), (1.0, 7)])
@@ -208,20 +194,11 @@ def test_a_norm_gamma_ratio_identity(two_alpha, n):
     # |J_n|^2 = Gamma(n+2a+1)/n! * gamma_n^{a,a}
     order = FractionalOrder(two_alpha)
     alpha = order.alpha
-    expected = math.exp(math.lgamma(n + 2 * alpha + 1) - math.lgamma(n + 1)) * jacobi_norm_sq(alpha, n)
-    assert math.isclose(a_norm_sq_gjf(order, n), expected, rel_tol=1e-13)
+    expected = _image_prefactor(alpha, n) * jacobi_norm_sq(alpha, n)
+    assert math.isclose(basis_coeff(order, n) ** -2, expected, rel_tol=1e-13)
 
 
 def test_a_norm_identity_spec_point():
     order = FractionalOrder(1.2)
     expected = math.gamma(5 + 1.2 + 1) / math.factorial(5) * jacobi_norm_sq(0.6, 5)
-    assert math.isclose(a_norm_sq_gjf(order, 5), expected, rel_tol=1e-13)
-
-
-def test_tail_seminorm():
-    order = FractionalOrder(2.0)
-    assert math.isclose(tail_seminorm_sq(order, [1.0]), 8.0 / 3.0, rel_tol=1e-14)
-    assert tail_seminorm_sq(order, [1.0, 2.0, 3.0], start=3) == 0.0
-    order = FractionalOrder(1.6)
-    got = tail_seminorm_sq(order, [1.0, 1.0, 0.0, 1.0], start=2)
-    assert math.isclose(got, a_norm_sq_gjf(order, 3), rel_tol=1e-14)
+    assert math.isclose(basis_coeff(order, 5) ** -2, expected, rel_tol=1e-13)
