@@ -7,11 +7,10 @@ diagonalized independently.
 """
 
 from .specfun import FractionalOrder, basis_coeff, jacobi_norm_sq
-from .quadrature import QuadratureRule, gauss_jacobi, oracle_mass_entry, stiffness_check
+from .quadrature import gauss_jacobi, oracle_mass_entry, stiffness_check
 from .assembly import MassMatrix, assemble_mass, mass_entry
 from .eig import EigenSolution, eval_eigenfunction, solve, sym_eig
 from .analysis import (
-    ConvergenceTable,
     SpectrumReport,
     condition_number,
     condition_slope,
@@ -26,11 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FractionalOrder",
-    "QuadratureRule",
     "MassMatrix",
     "EigenSolution",
     "SpectrumReport",
-    "ConvergenceTable",
     "jacobi_norm_sq",
     "basis_coeff",
     "gauss_jacobi",

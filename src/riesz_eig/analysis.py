@@ -2,7 +2,8 @@
 
 This module post-processes eigensolutions into the study quantities: ratios
 against the expected high-index growth law, condition numbers and their
-growth exponent, and reliable-eigenvalue counts against a finer reference.
+growth exponent, first-eigenvalue convergence rows, and reliable-eigenvalue
+counts against a finer reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .specfun import FractionalOrder
 
 __all__ = [
     "SpectrumReport",
-    "ConvergenceTable",
     "solve_sweep",
     "weyl_ratios",
     "condition_number",
@@ -35,25 +35,13 @@ PLATEAU_RTOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Summary of one eigensolution: growth ratios, condition number, bounds."""
+    """Derived quantities of one eigensolution; its eigenvalues stay on the solution."""
 
-    order: FractionalOrder
-    n_max: int
-    lambdas: np.ndarray
     weyl_ratios: np.ndarray
     condition_number: float
     poincare_bound: float
     minmax_upper: float
     reliable_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceTable:
-    """First-eigenvalue errors against a fixed fine reference degree."""
-
-    order: FractionalOrder
-    reference_n: int
-    rows: tuple[tuple[int, float, float], ...]  # (N, lambda1, error)
 
 
 def solve_sweep(order: FractionalOrder, n_list) -> dict[int, EigenSolution]:
@@ -92,10 +80,14 @@ def condition_slope(order: FractionalOrder, n_list) -> tuple[list[float], float 
     return chis, float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
 
 
-def convergence_table(order: FractionalOrder, n_list, reference_n: int) -> ConvergenceTable:
+def convergence_table(
+    order: FractionalOrder, n_list, reference_n: int
+) -> tuple[tuple[int, float, float], ...]:
     """Errors of the first eigenvalue over ``n_list`` against the ``reference_n`` solve.
 
-    Errors within the double-precision plateau are reported as exact 0.
+    Returns one ``(N, lambda1, error)`` row per entry of ``n_list``, in its
+    order, with ``error = lambda1 - lambda1(reference_n)``.  Errors within
+    the double-precision plateau are reported as exact 0.
     """
     n_list = list(n_list)
     if not n_list:
@@ -113,7 +105,7 @@ def convergence_table(order: FractionalOrder, n_list, reference_n: int) -> Conve
         if abs(err) <= PLATEAU_RTOL * lam_ref:
             err = 0.0
         rows.append((int(n), float(lam), float(err)))
-    return ConvergenceTable(order, int(reference_n), tuple(rows))
+    return tuple(rows)
 
 
 def reliable_eigenvalues(
@@ -143,9 +135,6 @@ def spectrum_report(sol: EigenSolution) -> SpectrumReport:
             f"the Poincare bound Gamma(2a+1) exceeds the double range at 2a={two_alpha:g}"
         ) from None
     return SpectrumReport(
-        order=sol.order,
-        n_max=sol.n_max,
-        lambdas=sol.lambdas,
         weyl_ratios=weyl_ratios(sol),
         condition_number=condition_number(sol),
         poincare_bound=poincare_bound,

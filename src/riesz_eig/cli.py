@@ -169,16 +169,17 @@ def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
 def cmd_convergence(args: argparse.Namespace) -> Iterator[str]:
     """First-eigenvalue errors against a fine reference, one row per degree."""
     table = analysis.convergence_table(args.order, args.n_list, args.reference_n)
-    rows = (f"{n},{_fmt_row((lam, err))}" for n, lam, err in table.rows)
+    rows = (f"{n},{_fmt_row((lam, err))}" for n, lam, err in table)
     yield from _csv_lines(["N", "lambda1", "error"], rows)
 
 
 def cmd_weyl(args: argparse.Namespace) -> Iterator[str]:
     """Eigenvalues with their growth-law ratios and the reliability flag."""
-    report = analysis.spectrum_report(solve(args.order, args.n))
+    sol = solve(args.order, args.n)
+    report = analysis.spectrum_report(sol)
     rows = (
         f"{i + 1},{_fmt_row(row)},{'true' if i + 1 <= report.reliable_count else 'false'}"
-        for i, row in enumerate(np.column_stack([report.lambdas, report.weyl_ratios]))
+        for i, row in enumerate(np.column_stack([sol.lambdas, report.weyl_ratios]))
     )
     yield from _csv_lines(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows)
 

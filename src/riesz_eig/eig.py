@@ -105,8 +105,8 @@ class EigenSolution:
             # positive; the opposite-parity zeros cannot be it
             dominant = block[np.arange(rows.size), np.argmax(np.abs(block), axis=1)]
             flip[rows] = dominant < 0.0
-        # flip whole rows, so the opposite-parity zeros of a flipped row are -0.0
-        vectors[flip] *= -1.0
+        # flip whole rows in place, so a flipped row's opposite-parity zeros are -0.0
+        np.negative(vectors, out=vectors, where=flip[:, None])
         vectors.setflags(write=False)
         return vectors
 
@@ -237,7 +237,9 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     thread: a helper thread solves the odd block while the calling thread
     solves the even one.  Each block gets the same driver on the same input
     either way, so the results are the same bits; when both blocks fail, the
-    even block's error is raised.
+    even block's error is raised.  Both blocks are solved before the first
+    yield and the assembled matrix is released then, so a caller that
+    scatters the vectors never holds it beside them.
     """
     mass = assemble_mass(order, n_max)
     large = mass.odd_indices.size >= _LARGE_BLOCK_ROWS
@@ -271,7 +273,8 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     if large and not mass.banded and _blas_single_threaded():
         spectra = _in_parallel(lambda: spectrum("even"), lambda: spectrum("odd"))
     else:
-        spectra = (spectrum(tag) for tag, _ in blocks)
+        spectra = [spectrum(tag) for tag, _ in blocks]
+    del mass
     for (tag, indices), (mu, vecs) in zip(blocks, spectra):
         yield tag, indices, mu, vecs
 

@@ -10,15 +10,16 @@ integrate raw polynomial products against the weight and are the independent
 cross-check for every closed-form matrix entry and norm; they never touch the
 closed-form entry formulas.  The matrix checks take one rule and one Gram
 product at any degree; the per-entry mass reference takes the smallest rule
-exact for its pair.  The recurrence matrix goes to numpy's ``eigh`` as one
-dense array: LAPACK's tridiagonal reduction leaves it as it is, so the nodes
-and weights are those of a tridiagonal eigensolver, with O(m^3) work.
+exact for its pair.  A rule is the pair of arrays ``(nodes, weights)``, and
+a weighted integral is ``np.dot(weights, values)``.  The recurrence matrix
+goes to numpy's ``eigh`` as one dense array: LAPACK's tridiagonal reduction
+leaves it as it is, so the nodes and weights are those of a tridiagonal
+eigensolver, with O(m^3) work.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +32,11 @@ from .specfun import (
 )
 
 __all__ = [
-    "QuadratureRule",
     "gauss_jacobi",
     "oracle_mass_entry",
     "oracle_mass_matrix",
     "stiffness_check",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """An m-node Gauss rule for the weight ``(1-x^2)^s``: exact on degree <= 2m-1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at the nodes."""
-        return float(np.dot(self.weights, values))
 
 
 def _recurrence_offdiagonal(s: float, m: int) -> np.ndarray:
@@ -67,8 +55,11 @@ def _recurrence_offdiagonal(s: float, m: int) -> np.ndarray:
     return np.sqrt(offdiag_sq)
 
 
-def gauss_jacobi(s: float, m: int) -> QuadratureRule:
-    """Construct the m-node Gauss-Jacobi rule for the weight ``(1-x^2)^s``, ``s > -1``.
+def gauss_jacobi(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Jacobi rule for the weight ``(1-x^2)^s``, ``s > -1``.
+
+    Returns ``(nodes, weights)``, ascending nodes and their positive weights;
+    the rule is exact on polynomials of degree <= 2m-1.
 
     Raises ``ValueError`` for an exponent that ``jacobi_norm_sq`` refuses:
     not finite, or too large for its log-gamma terms to keep a digit.
@@ -89,7 +80,7 @@ def gauss_jacobi(s: float, m: int) -> QuadratureRule:
     # enforce the exact node/weight symmetry about 0
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes, weights)
+    return nodes, weights
 
 
 def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
@@ -102,9 +93,9 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     # exact for the degree i+j product: ceil((i+j)/2) + 1 nodes
-    rule = gauss_jacobi(2.0 * order.alpha, (i + j + 1) // 2 + 1)
-    rows = _jacobi_all(order.alpha, max(i, j), rule.nodes)
-    integral = rule.integrate(rows[i] * rows[j])
+    nodes, weights = gauss_jacobi(2.0 * order.alpha, (i + j + 1) // 2 + 1)
+    rows = _jacobi_all(order.alpha, max(i, j), nodes)
+    integral = float(np.dot(weights, rows[i] * rows[j]))
     return basis_coeff(order, i) * basis_coeff(order, j) * integral
 
 
@@ -117,10 +108,10 @@ def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) ->
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    rule = gauss_jacobi(weight_scale * order.alpha, n_max + 1)
-    rows = _jacobi_all(order.alpha, n_max, rule.nodes)
+    nodes, weights = gauss_jacobi(weight_scale * order.alpha, n_max + 1)
+    rows = _jacobi_all(order.alpha, n_max, nodes)
     coeffs = np.array([basis_coeff(order, n) for n in range(n_max + 1)])
-    return coeffs[:, None] * ((rows * rule.weights) @ rows.T) * coeffs
+    return coeffs[:, None] * ((rows * weights) @ rows.T) * coeffs
 
 
 def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:

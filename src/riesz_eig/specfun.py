@@ -134,7 +134,12 @@ def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
 def basis_coeff(order: FractionalOrder, n: int) -> float:
     """Normalization constant making the basis orthonormal in the operator energy norm.
 
-    Computed in the log domain; safe up to ``n = 1e5`` and beyond.
+    Computed in the log domain, so it neither overflows nor underflows up to
+    ``n = 1e5`` and beyond.  Its digits do decay with the degree: the
+    log-gamma difference cancels, and the relative error grows like
+    ``eps * n log n``.  Against 40-digit mpmath at 2a in {0.5, 1.6, 3.6, 5.6}
+    it was at most 2.1e-12 over n = 950..1000, 4.0e-11 over n = 9950..10^4
+    and 4.6e-10 over n = 99950..10^5.
     """
     return math.exp(-0.5 * _log_a_norm_sq(order, n))
 

@@ -209,7 +209,7 @@ def test_criterion_8_convergence_monotone(two_alpha):
     order = FractionalOrder(two_alpha)
     table = convergence_table(order, [8, 16, 32, 64, 128], 200)
     lam_ref = solve(order, 200).lambdas[0]
-    errs = [row[2] for row in table.rows]
+    errs = [row[2] for row in table]
     nonneg = all(e >= 0.0 for e in errs)
     plateau = 1e-12 * lam_ref
     decreasing = True

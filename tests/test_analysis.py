@@ -84,23 +84,23 @@ def test_condition_slope_rejects_degree_zero():
 def test_convergence_table():
     order = FractionalOrder(1.6)
     table = convergence_table(order, [8, 16, 32], 64)
-    errs = [row[2] for row in table.rows]
+    errs = [row[2] for row in table]
     assert all(e >= 0.0 for e in errs)
     assert errs[0] > errs[1] > errs[2] > 0.0
-    assert [row[0] for row in table.rows] == [8, 16, 32]
+    assert [row[0] for row in table] == [8, 16, 32]
 
 
 def test_convergence_table_plateau_floor():
     # beyond the plateau the reported error collapses to an exact 0
     order = FractionalOrder(1.6)
     table = convergence_table(order, [96], 200)
-    assert table.rows[0][2] == 0.0
+    assert table[0][2] == 0.0
 
 
 def test_convergence_table_single_row_and_validation():
     order = FractionalOrder(1.6)
     table = convergence_table(order, [16], 32)
-    assert len(table.rows) == 1
+    assert len(table) == 1
     with pytest.raises(ValueError):
         convergence_table(order, [8, 16], 16)
     with pytest.raises(ValueError, match="the degree list is empty"):
@@ -150,8 +150,8 @@ def test_spectrum_report_fields():
     sol = solve(FractionalOrder(1.6), 64)
     report = spectrum_report(sol)
     assert report.condition_number >= 1.0
-    assert report.lambdas[0] > report.poincare_bound
-    assert report.lambdas[0] <= report.minmax_upper
+    assert sol.lambdas[0] > report.poincare_bound
+    assert sol.lambdas[0] <= report.minmax_upper
     assert report.reliable_count == int(2 * 64 / math.pi)
     assert len(report.weyl_ratios) == 65
 
@@ -169,9 +169,10 @@ def test_bounds_small_sweep(two_alpha):
     order = FractionalOrder(two_alpha)
     lower = math.gamma(two_alpha + 1.0)
     for n in (8, 32):
-        report = spectrum_report(solve(order, n))
-        assert report.lambdas[0] > lower
-        assert report.lambdas[0] <= report.minmax_upper
+        sol = solve(order, n)
+        report = spectrum_report(sol)
+        assert sol.lambdas[0] > lower
+        assert sol.lambdas[0] <= report.minmax_upper
 
 
 def test_first_eigenvalue_monotone_in_order():

@@ -478,13 +478,14 @@ def _joined_output(argv):
         return _joined_csv(header, [f"{i + 1},{_fmt_row(row)}" for i, row in enumerate(table)])
     if args.command == "convergence":
         table = analysis.convergence_table(args.order, args.n_list, args.reference_n)
-        rows = [f"{n},{_fmt(lam)},{_fmt(err)}" for n, lam, err in table.rows]
+        rows = [f"{n},{_fmt(lam)},{_fmt(err)}" for n, lam, err in table]
         return _joined_csv(["N", "lambda1", "error"], rows)
     if args.command == "weyl":
-        report = analysis.spectrum_report(solve(args.order, args.n))
+        sol = solve(args.order, args.n)
+        report = analysis.spectrum_report(sol)
         rows = [
             f"{i + 1},{_fmt(lam)},{_fmt(ratio)},{'true' if i < report.reliable_count else 'false'}"
-            for i, (lam, ratio) in enumerate(zip(report.lambdas, report.weyl_ratios))
+            for i, (lam, ratio) in enumerate(zip(sol.lambdas, report.weyl_ratios))
         ]
         return _joined_csv(["n", "lambda_n", "weyl_ratio", "reliable_flag"], rows)
     if args.command == "condition":

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import mpmath as mp
@@ -459,6 +460,32 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
         solve(FractionalOrder(1.6), 1024)
     assert f"-1.000e-21 in the {named} block (N=1024, 2a=1.6)" in str(exc.value)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+@pytest.mark.parametrize("two_alpha, n_max, pinned", [
+    (1.6, 64, True),  # small dense blocks
+    (4.0, 64, True),  # a banded driver on the stored band
+    (1.6, 1024, True),  # large dense blocks, solved concurrently
+    (1.6, 1024, False),  # large dense blocks, solved in turn
+], ids=["dense", "banded", "concurrent", "serial"])
+def test_block_spectra_releases_the_mass_matrix_before_the_first_yield(
+    monkeypatch, two_alpha, n_max, pinned, vectors
+):
+    refs = []
+
+    def recording_assemble_mass(order, n):
+        mass = assemble_mass(order, n)
+        refs.append(weakref.ref(mass))
+        return mass
+
+    monkeypatch.setattr(riesz_eig.eig, "assemble_mass", recording_assemble_mass)
+    _pin_blas(monkeypatch, pinned)
+    spectra = riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
+    tag, _, _, vecs = next(spectra)
+    assert tag == "even" and (vecs is not None) is vectors
+    assert len(refs) == 1 and refs[0]() is None
+    assert [tag for tag, *_ in spectra] == ["odd"]
 
 
 def test_parity_alternation_and_tags():

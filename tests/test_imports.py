@@ -46,11 +46,11 @@ def _fresh_run(argvs):
 
 
 PUBLIC_NAMES = {
-    "FractionalOrder", "QuadratureRule", "MassMatrix", "EigenSolution", "SpectrumReport",
-    "ConvergenceTable", "jacobi_norm_sq", "basis_coeff", "gauss_jacobi", "oracle_mass_entry",
-    "mass_entry", "assemble_mass", "stiffness_check", "sym_eig", "solve", "eval_eigenfunction",
-    "solve_sweep", "weyl_ratios", "condition_number", "condition_slope", "convergence_table",
-    "reliable_eigenvalues", "spectrum_report",
+    "FractionalOrder", "MassMatrix", "EigenSolution", "SpectrumReport", "jacobi_norm_sq",
+    "basis_coeff", "gauss_jacobi", "oracle_mass_entry", "mass_entry", "assemble_mass",
+    "stiffness_check", "sym_eig", "solve", "eval_eigenfunction", "solve_sweep", "weyl_ratios",
+    "condition_number", "condition_slope", "convergence_table", "reliable_eigenvalues",
+    "spectrum_report",
 }
 MODULES = ["specfun", "quadrature", "assembly", "eig", "analysis", "cli"]
 
