@@ -12,15 +12,17 @@ a constant, a per-index term, a term of the index sum and one of the index
 difference.  ``Q`` and ``U`` are running products of rational factors, so a
 block needs no special function beyond the three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
-each block is banded and only its band is stored.  Its dense blocks and the
-full matrix are built only on request.  ``assemble_mass`` builds the tables
-once for both blocks and refuses, by name, an order whose tables double
-precision cannot hold: not finite, or so small that every entry underflows.
+each block is banded.  ``_is_banded`` decides whether the blocks are stored
+as bands or dense, and so which LAPACK drivers ``eig`` runs on them.
+``assemble_mass`` builds the tables once for both blocks and refuses, by
+name, an order whose tables double precision cannot hold: not finite, or so
+small that every entry underflows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,22 +34,37 @@ from .specfun import FractionalOrder
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
 
 _TINY = np.finfo(float).tiny
+# Fewest odd-block rows from which a tridiagonal block (2a = 2) is stored as a
+# band for SciPy's banded drivers rather than dense for numpy's.  Median ms per
+# block, 2-core x86_64 VM, BLAS at one thread, SciPy already loaded, the dense
+# side including forming the block:
+#     rows   values dense / banded   vectors dense / banded
+#      257       4.9 / 1.2               9.2 / 4.0
+#      511      21.6 / 4.6              44.7 / 18.9
+# Below this size a process that loads no SciPy saves its import, about 0.2 s,
+# more than the dense drivers cost.
+_TRIDIAGONAL_BAND_MIN_ROWS = 512
 
 
-def _is_banded(order: FractionalOrder) -> bool:
-    return order.alpha.is_integer()
+def _is_banded(order: FractionalOrder, n_max: int) -> bool:
+    # integer alpha, and an even block wider than tridiagonal (dense LAPACK would
+    # change its bits) or an odd block of _TRIDIAGONAL_BAND_MIN_ROWS rows or more
+    alpha = order.alpha
+    return alpha.is_integer() and (
+        (alpha >= 2 and n_max >= 4) or (n_max + 1) // 2 >= _TRIDIAGONAL_BAND_MIN_ROWS
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class MassMatrix:
     """Symmetric positive-definite mass matrix, stored as its two parity blocks.
 
-    For integer ``alpha`` (``banded``) each block has ``w = min(alpha, size - 1)``
-    superdiagonals, and ``even``/``odd`` hold it in LAPACK upper-band storage,
-    ``band[w + p - q, q] = block[p, q]``.  Otherwise they hold the dense
-    blocks.  ``even_block``, ``odd_block`` and ``entries`` are the dense
-    read-only views, built on first access (banded blocks by ``_dense_block``,
-    bit for bit the entries of the band).
+    Where ``_is_banded`` holds (``banded``), each block has
+    ``w = min(alpha, size - 1)`` superdiagonals, and ``even``/``odd`` hold it
+    in LAPACK upper-band storage, ``band[w + p - q, q] = block[p, q]``.
+    Otherwise they hold the dense blocks.  ``entries`` is the one dense view
+    of the whole matrix, built on first access; from bands it evaluates the
+    dense blocks by ``_dense_block``, bit for bit the entries of the band.
     """
 
     order: FractionalOrder
@@ -57,7 +74,7 @@ class MassMatrix:
 
     @property
     def banded(self) -> bool:
-        return _is_banded(self.order)
+        return _is_banded(self.order, self.n_max)
 
     @property
     def even_indices(self) -> np.ndarray:
@@ -68,22 +85,15 @@ class MassMatrix:
         return np.arange(1, self.n_max + 1, 2)
 
     @cached_property
-    def even_block(self) -> np.ndarray:
-        return self._dense_view(self.even_indices) if self.banded else self.even
-
-    @cached_property
-    def odd_block(self) -> np.ndarray:
-        return self._dense_view(self.odd_indices) if self.banded else self.odd
-
-    def _dense_view(self, indices: np.ndarray) -> np.ndarray:
-        return _dense_block(_entry_tables(self.order.alpha, self.n_max), indices)
-
-    @cached_property
     def entries(self) -> np.ndarray:
         """The full ``(n_max+1)^2`` matrix, composed from the blocks (read-only)."""
+        even, odd = self.even, self.odd
+        if self.banded:
+            tables = _entry_tables(self.order.alpha, self.n_max)
+            even, odd = (_dense_block(tables, i) for i in (self.even_indices, self.odd_indices))
         full = np.zeros((self.n_max + 1, self.n_max + 1))
-        full[::2, ::2] = self.even_block
-        full[1::2, 1::2] = self.odd_block
+        full[::2, ::2] = even
+        full[1::2, 1::2] = odd
         full.setflags(write=False)
         return full
 
@@ -197,6 +207,7 @@ def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     """Closed-form mass entry; an exact 0 when ``i + j`` is odd."""
+    i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     if (i + j) % 2 == 1:
@@ -243,17 +254,18 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
 
     A dense block is the elementwise product of the per-index outer product,
     a Hankel view of ``Q`` and a Toeplitz view of ``U``, built in O(N^2)
-    flops with no per-entry special function.  For integer ``alpha`` only the
-    band is evaluated and stored, O(N alpha) entries.  The odd-sum entries
-    between the blocks are exact zeros and are not stored.  An order whose
-    entries double precision cannot hold raises a ``ValueError`` naming
+    flops with no per-entry special function.  Where ``_is_banded`` holds,
+    only the band is evaluated and stored, O(N alpha) entries.  The odd-sum
+    entries between the blocks are exact zeros and are not stored.  An order
+    whose entries double precision cannot hold raises a ``ValueError`` naming
     ``2a``, ``N`` and whether they overflow or underflow.
     """
+    n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
     tables = _checked_tables(order, n_max)
     even, odd = (
-        _band_block(tables, int(order.alpha), indices) if _is_banded(order)
+        _band_block(tables, int(order.alpha), indices) if _is_banded(order, n_max)
         else _dense_block(tables, indices)
         for indices in (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
     )

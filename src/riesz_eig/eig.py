@@ -7,19 +7,16 @@ the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently and merged.  The spectral studies need only the eigenvalues, so
 ``solve`` computes values alone; the coefficient vectors are computed the
 first time a caller reads them.  ``_block_spectra`` does the per-block work
-for both: it assembles the blocks, picks the LAPACK driver from the storage,
-the size and whether vectors are wanted, and checks each block's spectrum.
-For integer ``alpha`` the blocks are banded and only the band is stored.  A
-band wider than tridiagonal, or any band of a large block (the odd block has
-at least ``_LARGE_BLOCK_ROWS`` rows), goes to LAPACK's banded drivers on the
-stored band, and no dense block is formed.  Those drivers come from SciPy,
-which is imported only on that path.  Every other block, a tridiagonal band
-below that size included, goes to numpy's dense drivers, so a non-integer
-``alpha`` and ``2a = 2`` below ``N = 1023`` never load SciPy.
+for both: it assembles the blocks, runs the LAPACK driver that their stored
+form and the request call for, and checks each block's spectrum.  Blocks
+that ``assembly`` stores as bands go to LAPACK's banded drivers, which come
+from SciPy and are imported only on that path; dense blocks go to numpy's
+dense drivers, so a non-integer ``alpha`` and ``2a = 2`` below ``N = 1023``
+never load SciPy.
 
 When the environment pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``,
 then ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, the order OpenBLAS reads
-them in) and the odd block has at least ``_LARGE_BLOCK_ROWS`` rows, the two
+them in) and the odd block has at least ``_CONCURRENT_MIN_ROWS`` rows, the two
 dense blocks are solved concurrently: a helper thread solves the odd block
 while the calling thread solves the even one, and LAPACK releases the GIL.
 Unpinned, each solve already spreads over every core, and two at once were
@@ -29,6 +26,7 @@ banded blocks, whose solves are short.  Either schedule gives the same bits.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -48,23 +46,13 @@ _TINY = np.finfo(float).tiny
 # The variables OpenBLAS takes its thread count from, in the order it reads
 # them: the first that holds a positive integer sets the count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Fewest rows of the odd (smaller) block for which the blocks count as large.
-# Large dense blocks are solved concurrently when BLAS is pinned to one thread;
-# a large tridiagonal band stays on SciPy's banded driver, a smaller one goes to
-# numpy's dense drivers.  Both measured on a 2-core x86_64 VM, BLAS at one
-# thread.
-# - Concurrency, eigvalsh on the 2a = 1.6 blocks, serial/concurrent wall time
-#   over paired runs: 0.87 at 257 rows, 0.91 at 385 and 449 rows, 1.69 at 513
-#   rows and 1.79 at 1025 rows.  numpy's eigvalsh holds the GIL through LAPACK
-#   on 500 rows or fewer, so smaller blocks cannot overlap at all.
-# - Tridiagonal blocks (2a = 2), median ms per block in a process that already
-#   holds SciPy; the dense side includes forming the block:
-#       rows   values dense / banded   vectors dense / banded
-#       257       4.9 / 1.2               9.2 / 4.0
-#       511      21.6 / 4.6              44.7 / 18.9
-#   A fresh process that loads no SciPy saves its import, about 0.2 s, more
-#   than the dense drivers cost below this size.
-_LARGE_BLOCK_ROWS = 512
+# Fewest rows of the odd (smaller) block from which dense blocks are solved
+# concurrently when BLAS is pinned to one thread.  eigvalsh on the 2a = 1.6
+# blocks, serial/concurrent wall time over paired runs on a 2-core x86_64 VM,
+# BLAS at one thread: 0.87 at 257 rows, 0.91 at 385 and 449 rows, 1.69 at 513
+# rows and 1.79 at 1025 rows.  numpy's eigvalsh holds the GIL through LAPACK
+# on 500 rows or fewer, so smaller blocks cannot overlap at all.
+_CONCURRENT_MIN_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,54 +201,50 @@ def _in_parallel(first, second):
 
 
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
-    """Solve each nonempty parity block; yield ``(tag, indices, mu, vecs)``.
+    """Solve each nonempty parity block; return a list of ``(tag, indices, mu, vecs)``.
 
     ``mu`` is the block's ascending spectrum and ``vecs`` its orthonormal
     eigenvectors as columns, or ``None`` unless ``vectors`` is true.  The
-    driver follows the storage, the size and the request.  The stored band of
-    integer ``alpha`` goes to LAPACK ``sbevd`` through
-    ``scipy.linalg.eigvals_banded`` or ``eig_banded`` when it has more than
-    one superdiagonal or the blocks are large (``_LARGE_BLOCK_ROWS``).  Any
-    other block goes to ``numpy.linalg.eigvalsh`` under ``sym_eig``'s checks,
-    or to ``sym_eig`` itself; a band goes there as its dense view
-    (``even_block``, ``odd_block``).  On a tridiagonal block the reduction
-    ``sytrd`` of the dense drivers is the identity, so they give the banded
-    drivers' values bit for bit and their vectors up to sign.  ``eigvalsh``
-    is ``syevd`` without vectors, whose tridiagonal stage is the root-free QR
-    iteration ``sterf``.  On the graded mass blocks it keeps more of the small
-    end than the full decomposition does, but no driver does better than the
-    Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the condition number
-    of the diagonally scaled block): the small eigenvalues are accurate only
-    while that is small.  Every spectrum passes ``_check_block_mu``.
+    driver follows the stored form and the request.  Blocks stored as bands
+    go to LAPACK ``sbevd`` through ``scipy.linalg.eigvals_banded`` or
+    ``eig_banded``.  Dense blocks go to ``numpy.linalg.eigvalsh`` under
+    ``sym_eig``'s checks, or to ``sym_eig`` itself.  On a tridiagonal block
+    the reduction ``sytrd`` of the dense drivers is the identity, so they
+    give the banded drivers' values bit for bit and their vectors up to sign.
+    ``eigvalsh`` is ``syevd`` without vectors, whose tridiagonal stage is the
+    root-free QR iteration ``sterf``.  On the graded mass blocks it keeps more
+    of the small end than the full decomposition does, but no driver does
+    better than the Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the
+    condition number of the diagonally scaled block): the small eigenvalues
+    are accurate only while that is small.  Every spectrum passes
+    ``_check_block_mu``.
 
     Large dense blocks are solved concurrently when BLAS is pinned to one
     thread: a helper thread solves the odd block while the calling thread
     solves the even one.  Each block gets the same driver on the same input
     either way, so the results are the same bits; when both blocks fail, the
-    even block's error is raised.  Both blocks are solved before the first
-    yield and the assembled matrix is released then, so a caller that
-    scatters the vectors never holds it beside them.
+    even block's error is raised.  The assembled matrix is released on
+    return, so a caller that scatters the vectors never holds it beside them.
     """
     mass = assemble_mass(order, n_max)
-    large = mass.odd_indices.size >= _LARGE_BLOCK_ROWS
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
         lost = "the eigensolver has lost the small end of this graded block"
 
     def spectrum(tag):
-        band = getattr(mass, tag)
-        if mass.banded and (large or band.shape[0] > 2):
+        block = getattr(mass, tag)
+        if mass.banded:
             # Deferred: only these blocks need SciPy, and importing it at module
             # load would more than double the start-up of every other CLI call.
             import scipy.linalg
 
             banded_driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
-            result = _converged(banded_driver, band)
+            result = _converged(banded_driver, block)
         elif vectors:
-            result = sym_eig(getattr(mass, f"{tag}_block"))
+            result = sym_eig(block)
         else:
-            result = _symmetric_eig(getattr(mass, f"{tag}_block"), np.linalg.eigvalsh)
+            result = _symmetric_eig(block, np.linalg.eigvalsh)
         mu, vecs = result if vectors else (result, None)
         _check_block_mu(mu, tag, order, n_max, lost)
         return mu, vecs
@@ -270,23 +254,21 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         for tag, indices in (("even", mass.even_indices), ("odd", mass.odd_indices))
         if indices.size  # the odd block is empty at N = 0
     ]
+    large = mass.odd_indices.size >= _CONCURRENT_MIN_ROWS
     if large and not mass.banded and _blas_single_threaded():
         spectra = _in_parallel(lambda: spectrum("even"), lambda: spectrum("odd"))
     else:
         spectra = [spectrum(tag) for tag, _ in blocks]
-    del mass
-    for (tag, indices), (mu, vecs) in zip(blocks, spectra):
-        yield tag, indices, mu, vecs
+    return [(tag, indices, mu, vecs) for (tag, indices), (mu, vecs) in zip(blocks, spectra)]
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
     Each parity block of the mass matrix is solved for its eigenvalues
-    alone (``eigvals_banded`` on the stored band of integer ``alpha`` where
-    ``_block_spectra`` keeps the band, ``eigvalsh`` otherwise); their
-    reciprocals are merged and sorted ascending, with ties broken
-    even-before-odd and then by within-block position.  No vector is
+    alone (``eigvals_banded`` on a block stored as a band, ``eigvalsh`` on a
+    dense one); their reciprocals are merged and sorted ascending, with ties
+    broken even-before-odd and then by within-block position.  No vector is
     computed here (see ``EigenSolution.vectors``).
     """
     ranks, parts = [], []
@@ -312,6 +294,7 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     The Jacobi rows, the basis scale and the boundary weight are built once
     and shared by every index.  Each sample is exactly 0 at ``x = +-1``.
     """
+    indices = [operator.index(index) for index in indices]
     for index in indices:
         if not (1 <= index <= len(sol.lambdas)):
             raise ValueError(f"index must lie in [1, {len(sol.lambdas)}], got {index}")

@@ -90,6 +90,7 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     that is exact for the polynomial part; independent of the closed-form
     entry formula.
     """
+    i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
     # exact for the degree i+j product: ceil((i+j)/2) + 1 nodes

@@ -6,7 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from riesz_eig.assembly import assemble_mass, mass_entry
+import riesz_eig.assembly
+from riesz_eig.assembly import _band_block, _entry_tables, assemble_mass, mass_entry
+from riesz_eig.eig import solve
 from riesz_eig.quadrature import oracle_mass_entry, stiffness_check
 from riesz_eig.specfun import FractionalOrder
 
@@ -58,12 +60,13 @@ def test_mass_matrix_structure(two_alpha):
     idx = np.arange(22)
     odd_sum = (idx[:, None] + idx[None, :]) % 2 == 1
     assert np.all(m[odd_sum] == 0.0)
-    # parity blocks are views of the right entries
-    np.testing.assert_array_equal(mass.even_block, m[np.ix_(idx[::2], idx[::2])])
-    np.testing.assert_array_equal(mass.odd_block, m[np.ix_(idx[1::2], idx[1::2])])
+    # the stored dense parity blocks are the right entries
+    assert not mass.banded
+    np.testing.assert_array_equal(mass.even, m[np.ix_(idx[::2], idx[::2])])
+    np.testing.assert_array_equal(mass.odd, m[np.ix_(idx[1::2], idx[1::2])])
     # positive definiteness, blockwise
-    assert np.linalg.eigvalsh(mass.even_block).min() > 0
-    assert np.linalg.eigvalsh(mass.odd_block).min() > 0
+    assert np.linalg.eigvalsh(mass.even).min() > 0
+    assert np.linalg.eigvalsh(mass.odd).min() > 0
 
 
 @pytest.mark.parametrize("two_alpha", [2.0, 4.0])
@@ -80,14 +83,43 @@ def test_integer_alpha_bandedness(two_alpha):
 
 
 def test_banded_mass_holds_only_the_band():
-    # 2a = 2: one superdiagonal per block, O(N) bytes; dense views on request only
+    # 2a = 2: one superdiagonal per block, O(N) bytes; the dense view on request only
     mass = assemble_mass(FractionalOrder(2.0), 2048)
     assert mass.banded
     assert mass.even.shape == (2, 1025) and mass.odd.shape == (2, 1024)
     assert mass.even.nbytes + mass.odd.nbytes == 2 * 2049 * 8
-    assert not {"even_block", "odd_block", "entries"} & set(vars(mass))
-    assert mass.even_block[1, 0] == mass.even_block[0, 1] == mass.even[0, 1]
+    assert "entries" not in vars(mass)
+    assert mass.entries[2, 0] == mass.entries[0, 2] == mass.even[0, 1]
     assert not assemble_mass(FractionalOrder(2.1), 8).banded
+
+
+@pytest.mark.parametrize("two_alpha, n_max, banded", [
+    (2.0, 1021, False), (2.0, 1022, False), (2.0, 1023, True),  # 512 odd rows
+    (4.0, 3, False), (4.0, 4, True), (6.0, 4, True),  # an even band wider than tridiagonal
+    (1.6, 2048, False), (2.1, 8, False),  # non-integer alpha
+])
+def test_storage_rule_at_its_edges(two_alpha, n_max, banded):
+    # both blocks share one stored form: bands of min(alpha, size - 1)
+    # superdiagonals, or the dense blocks
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    assert mass.banded is banded
+    for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
+        rows = min(int(two_alpha / 2), size - 1) + 1 if banded else size
+        assert stored.shape == (rows, size)
+
+
+def test_solve_builds_the_entry_tables_once(monkeypatch):
+    # a dense-stored tridiagonal order: no band, and no second table build for
+    # a dense view of it
+    calls = []
+
+    def counting_entry_tables(alpha, m_max):
+        calls.append(m_max)
+        return _entry_tables(alpha, m_max)
+
+    monkeypatch.setattr(riesz_eig.assembly, "_entry_tables", counting_entry_tables)
+    solve(FractionalOrder(2.0), 512)
+    assert calls == [512]
 
 
 def scatter_band(band):
@@ -100,15 +132,20 @@ def scatter_band(band):
     return block
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 24, 255])
-@pytest.mark.parametrize("two_alpha", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("two_alpha, n_max", [
+    *((two_alpha, n_max) for two_alpha in (2.0, 4.0, 6.0) for n_max in (0, 1, 2, 3, 24, 255)),
+    (2.0, 1023), (2.0, 1024),  # tridiagonal blocks stored as bands
+])
 def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
-    # the dense views are evaluated, not scattered from the band; they must
-    # still hold the band's bits and +0.0 outside it
+    # the dense view is evaluated, not scattered from the band; it must still
+    # hold the band's bits and +0.0 outside it, whether the blocks are stored
+    # as bands or dense
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    views = {"even": mass.even_block, "odd": mass.odd_block}
-    for name, view in views.items():
-        expected = scatter_band(getattr(mass, name))
+    tables = _entry_tables(two_alpha / 2, n_max)
+    for indices, stored in ((mass.even_indices, mass.even), (mass.odd_indices, mass.odd)):
+        band = stored if mass.banded else _band_block(tables, int(two_alpha / 2), indices)
+        expected = scatter_band(band)
+        view = mass.entries[np.ix_(indices, indices)]
         np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))
 
@@ -135,7 +172,7 @@ def test_unrepresentable_mass_matrix_is_named(two_alpha, n_max, cause):
 def test_largest_entry_in_the_normal_range_assembles():
     # at 2a = 170, K is subnormal but M_00 = K (2a + 1) = 9.8e-308 is normal
     mass = assemble_mass(FractionalOrder(170.0), 0)
-    assert mass.even_block[0, 0] >= np.finfo(float).tiny
+    assert mass.entries[0, 0] >= np.finfo(float).tiny
 
 
 def test_scalar_entry_matches_assembled_grid():
@@ -191,8 +228,8 @@ def test_tabulated_terms_match_per_entry_formula(two_alpha, n_max):
     # closed form, band zeros included
     order = FractionalOrder(two_alpha)
     mass = assemble_mass(order, n_max)
-    for block, start in ((mass.even_block, 0), (mass.odd_block, 1)):
-        idx = np.arange(start, n_max + 1, 2)
+    for idx in (mass.even_indices, mass.odd_indices):
+        block = mass.entries[np.ix_(idx, idx)]
         err = relative_error(block, order.alpha, n_max, idx[:, None], idx[None, :])
         assert err.size == 0 or err.max() <= 1e-14
     sample = sorted({0, 1, 2, n_max // 2, n_max - 1, n_max} & set(range(n_max + 1)))

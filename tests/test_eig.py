@@ -12,8 +12,9 @@ import pytest
 import riesz_eig.assembly
 import riesz_eig.eig
 from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
-from riesz_eig.assembly import assemble_mass
+from riesz_eig.assembly import _band_block, _entry_tables, assemble_mass, mass_entry
 from riesz_eig.eig import eval_eigenfunction, solve, sym_eig
+from riesz_eig.quadrature import oracle_mass_entry
 from riesz_eig.specfun import (
     FractionalOrder,
     _boundary_weight,
@@ -108,9 +109,10 @@ def test_solution_structure():
 def _reference_merge(order, n_max, banded=False):
     """Per-eigenpair merge: sort by (lambda, parity, position), then fix signs.
 
-    Eigenvalues come from the values-only ``eigvalsh``, vectors from ``eigh``;
-    with ``banded``, from ``eigvals_banded`` and ``eig_banded`` on the stored
-    bands instead.
+    Eigenvalues come from the values-only ``eigvalsh``, vectors from ``eigh``,
+    on the dense blocks of ``entries``; with ``banded``, from
+    ``eigvals_banded`` and ``eig_banded`` on the bands that ``_band_block``
+    builds, whatever the stored form.
     """
     mass = assemble_mass(order, n_max)
     merged = []
@@ -121,10 +123,11 @@ def _reference_merge(order, n_max, banded=False):
         if banded:
             import scipy.linalg
 
-            values = scipy.linalg.eigvals_banded(getattr(mass, tag))
-            mu, vecs = scipy.linalg.eig_banded(getattr(mass, tag))
+            band = _band_block(_entry_tables(order.alpha, n_max), int(order.alpha), indices)
+            values = scipy.linalg.eigvals_banded(band)
+            mu, vecs = scipy.linalg.eig_banded(band)
         else:
-            block = getattr(mass, f"{tag}_block")
+            block = mass.entries[np.ix_(indices, indices)]
             values = np.linalg.eigvalsh(block)
             mu, vecs = np.linalg.eigh(block)
         for pos, col in enumerate(reversed(range(mu.size))):
@@ -178,7 +181,7 @@ def test_vectors_sign_per_block_matches_full_rows(two_alpha, n_max):
 @pytest.mark.parametrize("two_alpha, n_max", [(1.6, 1024), (3.6, 1024), (5.6, 512)])
 def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    blocks = (mass.even_block, mass.odd_block)
+    blocks = (mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices))
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_array_equal(solve(FractionalOrder(two_alpha), n_max).lambdas, expected)
 
@@ -296,7 +299,7 @@ def test_banded_spectrum_matches_high_precision(two_alpha, rtol):
 def test_banded_values_equal_dense_values(n_max):
     order = FractionalOrder(2.0)
     mass = assemble_mass(order, n_max)
-    blocks = (mass.even_block, mass.odd_block)
+    blocks = (mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices))
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_array_equal(solve(order, n_max).lambdas, expected)
 
@@ -304,12 +307,15 @@ def test_banded_values_equal_dense_values(n_max):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
 @pytest.mark.parametrize("two_alpha", [2.0, 4.0, 6.0])
 def test_banded_small_degrees(two_alpha, n_max):
-    # empty odd block at N = 0; band width alpha >= block size from 2a = 4 on
+    # empty odd block at N = 0; below N = 4 no block is wider than tridiagonal,
+    # so both are stored dense
     order = FractionalOrder(two_alpha)
     mass = assemble_mass(order, n_max)
     for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
-        assert stored.shape == (min(int(order.alpha), max(size - 1, 0)) + 1, size)
-    blocks = [b for b in (mass.even_block, mass.odd_block) if b.size]
+        assert stored.shape == (size, size)
+    blocks = [
+        mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices) if i.size
+    ]
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     sol = solve(order, n_max)
     np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-14, atol=0.0)
@@ -324,9 +330,9 @@ def test_banded_small_degrees(two_alpha, n_max):
     (2.0, 1021), (2.0, 1022), (4.0, 2), (4.0, 3),
 ])
 def test_small_tridiagonal_blocks_give_the_banded_bits(monkeypatch, two_alpha, n_max):
-    # below 512 odd-block rows a tridiagonal band goes to numpy's dense
-    # drivers, whose reduction leaves it as it is: the banded drivers' values,
-    # and their vectors up to the sign that the sign rule fixes
+    # a tridiagonal block stored dense (below 512 odd-block rows) goes to
+    # numpy's dense drivers, whose reduction leaves it as it is: the banded
+    # drivers' values, and their vectors up to the sign that the sign rule fixes
     import scipy.linalg
 
     order = FractionalOrder(two_alpha)
@@ -469,7 +475,7 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
     (1.6, 1024, True),  # large dense blocks, solved concurrently
     (1.6, 1024, False),  # large dense blocks, solved in turn
 ], ids=["dense", "banded", "concurrent", "serial"])
-def test_block_spectra_releases_the_mass_matrix_before_the_first_yield(
+def test_block_spectra_releases_the_mass_matrix_before_it_returns(
     monkeypatch, two_alpha, n_max, pinned, vectors
 ):
     refs = []
@@ -482,10 +488,9 @@ def test_block_spectra_releases_the_mass_matrix_before_the_first_yield(
     monkeypatch.setattr(riesz_eig.eig, "assemble_mass", recording_assemble_mass)
     _pin_blas(monkeypatch, pinned)
     spectra = riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
-    tag, _, _, vecs = next(spectra)
-    assert tag == "even" and (vecs is not None) is vectors
     assert len(refs) == 1 and refs[0]() is None
-    assert [tag for tag, *_ in spectra] == ["odd"]
+    assert [tag for tag, *_ in spectra] == ["even", "odd"]
+    assert all((vecs is not None) is vectors for *_, vecs in spectra)
 
 
 def test_parity_alternation_and_tags():
@@ -576,3 +581,19 @@ def test_eigenfunction_argument_checks():
         eval_eigenfunction(sol, [1], [1.5])
     with pytest.raises(ValueError):
         eval_eigenfunction(sol, [1], [math.nan, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda order: mass_entry(order, 0.5, 0.5),
+    lambda order: mass_entry(order, 1.0, 1),
+    lambda order: oracle_mass_entry(order, 0.5, 0.5),
+    lambda order: assemble_mass(order, 8.0),
+    lambda order: solve(order, 8.0),
+    lambda order: eval_eigenfunction(solve(order, 8), [1.5], [0.0]),
+], ids=["mass_entry_halves", "mass_entry_float_one", "oracle_mass_entry", "assemble_mass",
+        "solve", "eval_eigenfunction"])
+def test_non_integer_degree_or_index_is_named(call):
+    # refused as a type error by operator.index, not rounded, read as an odd
+    # index sum or left to fail in numpy's indexing
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        call(FractionalOrder(1.6))

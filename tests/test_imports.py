@@ -1,7 +1,8 @@
 """SciPy stays out of the import floor and out of every call that needs no banded driver.
 
-Dense blocks, and tridiagonal bands (``2a = 2``) below ``N = 1023``, are
-solved with numpy's LAPACK; only wider bands and large blocks load SciPy.
+Blocks that ``assembly`` stores dense are solved with numpy's LAPACK; only
+blocks stored as bands load SciPy: integer ``alpha`` with an even block wider
+than tridiagonal (``2a >= 4`` from ``N = 4``), or ``2a = 2`` from ``N = 1023``.
 
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -86,6 +87,7 @@ def test_dense_and_small_tridiagonal_commands_load_no_scipy():
         ["weyl", "--two-alpha", "2", "--n", "64"],
         ["condition", "--two-alpha", "2", "--n-list", "4,8,16"],
         ["convergence", "--two-alpha", "2", "--n-list", "4,8", "--reference-n", "1022"],
+        ["eig", "--two-alpha", "4", "--n", "3", "--vectors"],
     ]
     assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": []}
 
@@ -95,6 +97,7 @@ def test_scipy_paths_run_in_a_fresh_interpreter():
     # rows, take SciPy's banded drivers and import SciPy where they use it
     for argv in (
         ["eig", "--two-alpha", "4", "--n", "16", "--vectors"],
+        ["eig", "--two-alpha", "4", "--n", "4"],
         ["eig", "--two-alpha", "2", "--n", "1024"],
     ):
         report = _fresh_run([argv])
