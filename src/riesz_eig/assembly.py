@@ -4,7 +4,8 @@ In the normalized basis the stiffness matrix is the identity, so the discrete
 eigenproblem is carried entirely by the mass matrix, and this module holds
 only its closed form; ``quadrature`` checks both by independent quadrature.
 Entries with odd index sum vanish identically (parity), which splits the
-matrix into independent even and odd blocks.  Every entry factors as
+matrix into the even and odd blocks on the degrees ``0::2`` and ``1::2``.
+Every entry factors as
 
     M_ij = K * h_i * h_j * Q((i+j)/2) * U((j-i)/2),
 
@@ -14,9 +15,9 @@ block needs no special function beyond the three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
 each block is banded.  ``_is_banded`` decides whether the blocks are stored
 as bands or dense, and so which LAPACK drivers ``eig`` runs on them.
-``assemble_mass`` builds the tables once for both blocks and refuses, by
-name, an order whose tables double precision cannot hold: not finite, or so
-small that every entry underflows.
+``assemble_mass`` builds the tables once for both blocks.  It and
+``mass_entry`` refuse, by name, an order whose tables double precision cannot
+hold: not finite, or so small that every entry underflows.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ def _is_banded(order: FractionalOrder, n_max: int) -> bool:
 class MassMatrix:
     """Symmetric positive-definite mass matrix, stored as its two parity blocks.
 
-    Where ``_is_banded`` holds (``banded``), each block has
-    ``w = min(alpha, size - 1)`` superdiagonals, and ``even``/``odd`` hold it
-    in LAPACK upper-band storage, ``band[w + p - q, q] = block[p, q]``.
-    Otherwise they hold the dense blocks.  ``entries`` is the one dense view
-    of the whole matrix, built on first access; from bands it evaluates the
-    dense blocks by ``_dense_block``, bit for bit the entries of the band.
+    Block ``p`` (0 ``even``, 1 ``odd``) holds the degrees ``p::2``, so it is
+    ``entries[p::2, p::2]``.  Where ``_is_banded`` holds (``banded``), each
+    block has ``w = min(alpha, size - 1)`` superdiagonals, stored in LAPACK
+    upper-band storage, ``band[w + r - c, c] = block[r, c]``.  Otherwise the
+    fields hold the dense blocks.  ``entries`` is the one dense view of the
+    whole matrix, built on first access; from bands it evaluates the dense
+    blocks by ``_dense_block``, bit for bit the entries of the band.
     """
 
     order: FractionalOrder
@@ -76,24 +78,16 @@ class MassMatrix:
     def banded(self) -> bool:
         return _is_banded(self.order, self.n_max)
 
-    @property
-    def even_indices(self) -> np.ndarray:
-        return np.arange(0, self.n_max + 1, 2)
-
-    @property
-    def odd_indices(self) -> np.ndarray:
-        return np.arange(1, self.n_max + 1, 2)
-
     @cached_property
     def entries(self) -> np.ndarray:
         """The full ``(n_max+1)^2`` matrix, composed from the blocks (read-only)."""
-        even, odd = self.even, self.odd
+        blocks = (self.even, self.odd)
         if self.banded:
             tables = _entry_tables(self.order.alpha, self.n_max)
-            even, odd = (_dense_block(tables, i) for i in (self.even_indices, self.odd_indices))
+            blocks = [_dense_block(tables, np.arange(p, self.n_max + 1, 2)) for p in (0, 1)]
         full = np.zeros((self.n_max + 1, self.n_max + 1))
-        full[::2, ::2] = even
-        full[1::2, 1::2] = odd
+        for p, block in enumerate(blocks):
+            full[p::2, p::2] = block
         full.setflags(write=False)
         return full
 
@@ -206,13 +200,17 @@ def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
-    """Closed-form mass entry; an exact 0 when ``i + j`` is odd."""
+    """Closed-form mass entry; an exact 0 when ``i + j`` is odd.
+
+    An order whose tables double precision cannot hold is refused by name,
+    as ``assemble_mass`` refuses it.
+    """
     i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
+    tables = _checked_tables(order, max(i, j))  # the smallest matrix that holds the entry
     if (i + j) % 2 == 1:
         return 0.0
-    tables = _entry_tables(order.alpha, (i + j) // 2)
     return float(_entry_values(tables, np.array([i]), np.array([j]))[0])
 
 
@@ -264,9 +262,9 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
     tables = _checked_tables(order, n_max)
+    banded = _is_banded(order, n_max)
     even, odd = (
-        _band_block(tables, int(order.alpha), indices) if _is_banded(order, n_max)
-        else _dense_block(tables, indices)
-        for indices in (np.arange(0, n_max + 1, 2), np.arange(1, n_max + 1, 2))
+        _band_block(tables, int(order.alpha), indices) if banded else _dense_block(tables, indices)
+        for indices in (np.arange(p, n_max + 1, 2) for p in (0, 1))
     )
     return MassMatrix(order, n_max, even, odd)

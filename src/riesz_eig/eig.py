@@ -4,24 +4,10 @@ With an identity stiffness matrix the generalized problem collapses to the
 standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
-independently and merged.  The spectral studies need only the eigenvalues, so
-``solve`` computes values alone; the coefficient vectors are computed the
-first time a caller reads them.  ``_block_spectra`` does the per-block work
-for both: it assembles the blocks, runs the LAPACK driver that their stored
-form and the request call for, and checks each block's spectrum.  Blocks
-that ``assembly`` stores as bands go to LAPACK's banded drivers, which come
-from SciPy and are imported only on that path; dense blocks go to numpy's
-dense drivers, so a non-integer ``alpha`` and ``2a = 2`` below ``N = 1023``
-never load SciPy.
-
-When the environment pins OpenBLAS to one thread (``OPENBLAS_NUM_THREADS``,
-then ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``, the order OpenBLAS reads
-them in) and the odd block has at least ``_CONCURRENT_MIN_ROWS`` rows, the two
-dense blocks are solved concurrently: a helper thread solves the odd block
-while the calling thread solves the even one, and LAPACK releases the GIL.
-Unpinned, each solve already spreads over every core, and two at once were
-slower than one after the other, so the blocks are solved serially; so are
-banded blocks, whose solves are short.  Either schedule gives the same bits.
+independently (``_block_spectra``, which picks the driver and the schedule)
+and merged.  The spectral studies need only the eigenvalues, so ``solve``
+computes values alone; the coefficient vectors are computed the first time a
+caller reads them.
 """
 
 from __future__ import annotations
@@ -81,14 +67,14 @@ class EigenSolution:
         parities = np.array(self.parities)
         vectors = np.zeros((self.n_max + 1, self.n_max + 1))
         flip = np.zeros(self.n_max + 1, dtype=bool)
-        for tag, indices, mu, vecs in _block_spectra(self.order, self.n_max, vectors=True):
+        for p, (tag, mu, vecs) in enumerate(_block_spectra(self.order, self.n_max, vectors=True)):
             # Within a block the merge keeps the descending-mu order, so the
             # k-th row of this parity takes the k-th vector of the block.
             rows = np.flatnonzero(parities == tag)
             mu, vecs = mu[::-1], vecs[:, ::-1]
             vecs /= np.sqrt(mu)  # in place: the driver's array is ours
             block = vecs.T
-            vectors[np.ix_(rows, indices)] = block
+            vectors[rows, p::2] = block
             # deterministic sign: the largest-magnitude coefficient of each row is
             # positive; the opposite-parity zeros cannot be it
             dominant = block[np.arange(rows.size), np.argmax(np.abs(block), axis=1)]
@@ -201,13 +187,15 @@ def _in_parallel(first, second):
 
 
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
-    """Solve each nonempty parity block; return a list of ``(tag, indices, mu, vecs)``.
+    """Solve each nonempty parity block; return a list of ``(tag, mu, vecs)``.
 
-    ``mu`` is the block's ascending spectrum and ``vecs`` its orthonormal
-    eigenvectors as columns, or ``None`` unless ``vectors`` is true.  The
-    driver follows the stored form and the request.  Blocks stored as bands
-    go to LAPACK ``sbevd`` through ``scipy.linalg.eigvals_banded`` or
-    ``eig_banded``.  Dense blocks go to ``numpy.linalg.eigvalsh`` under
+    Item ``p`` is the block on the degrees ``p::2``: the even block, then
+    the odd one unless it is empty (``N = 0``).  ``mu`` is the block's
+    ascending spectrum and ``vecs`` its orthonormal eigenvectors as columns,
+    or ``None`` unless ``vectors`` is true.  The driver follows the stored
+    form and the request.  Blocks stored as bands go to LAPACK ``sbevd``
+    through ``scipy.linalg.eigvals_banded`` or ``eig_banded``, and only they
+    import SciPy.  Dense blocks go to ``numpy.linalg.eigvalsh`` under
     ``sym_eig``'s checks, or to ``sym_eig`` itself.  On a tridiagonal block
     the reduction ``sytrd`` of the dense drivers is the identity, so they
     give the banded drivers' values bit for bit and their vectors up to sign.
@@ -219,12 +207,16 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     are accurate only while that is small.  Every spectrum passes
     ``_check_block_mu``.
 
-    Large dense blocks are solved concurrently when BLAS is pinned to one
-    thread: a helper thread solves the odd block while the calling thread
-    solves the even one.  Each block gets the same driver on the same input
-    either way, so the results are the same bits; when both blocks fail, the
-    even block's error is raised.  The assembled matrix is released on
-    return, so a caller that scatters the vectors never holds it beside them.
+    Large dense blocks are solved concurrently when the environment pins
+    OpenBLAS to one thread (``_BLAS_THREAD_VARS``): a helper thread solves the
+    odd block while the calling thread solves the even one, and LAPACK
+    releases the GIL.  Unpinned, each solve already spreads over every core,
+    and two at once were slower, so the blocks are solved in turn; so are
+    banded blocks, whose solves are short.  Each block gets the same driver
+    on the same input either way, so the results are the same bits; when
+    both blocks fail, the even block's error is raised.  The assembled matrix
+    is released on return, so a caller that scatters the vectors never holds
+    it beside them.
     """
     mass = assemble_mass(order, n_max)
     if vectors:
@@ -232,8 +224,8 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     else:
         lost = "the eigensolver has lost the small end of this graded block"
 
-    def spectrum(tag):
-        block = getattr(mass, tag)
+    def spectrum(p):
+        tag, block = _PARITIES[p], (mass.even, mass.odd)[p]
         if mass.banded:
             # Deferred: only these blocks need SciPy, and importing it at module
             # load would more than double the start-up of every other CLI call.
@@ -247,19 +239,12 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
             result = _symmetric_eig(block, np.linalg.eigvalsh)
         mu, vecs = result if vectors else (result, None)
         _check_block_mu(mu, tag, order, n_max, lost)
-        return mu, vecs
+        return tag, mu, vecs
 
-    blocks = [
-        (tag, indices)
-        for tag, indices in (("even", mass.even_indices), ("odd", mass.odd_indices))
-        if indices.size  # the odd block is empty at N = 0
-    ]
-    large = mass.odd_indices.size >= _CONCURRENT_MIN_ROWS
-    if large and not mass.banded and _blas_single_threaded():
-        spectra = _in_parallel(lambda: spectrum("even"), lambda: spectrum("odd"))
-    else:
-        spectra = [spectrum(tag) for tag, _ in blocks]
-    return [(tag, indices, mu, vecs) for (tag, indices), (mu, vecs) in zip(blocks, spectra)]
+    odd_rows = (n_max + 1) // 2
+    if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and _blas_single_threaded():
+        return list(_in_parallel(lambda: spectrum(0), lambda: spectrum(1)))
+    return [spectrum(p) for p in range(2 if odd_rows else 1)]
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
@@ -267,24 +252,18 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
 
     Each parity block of the mass matrix is solved for its eigenvalues
     alone (``eigvals_banded`` on a block stored as a band, ``eigvalsh`` on a
-    dense one); their reciprocals are merged and sorted ascending, with ties
-    broken even-before-odd and then by within-block position.  No vector is
-    computed here (see ``EigenSolution.vectors``).
+    dense one).  Each block's reciprocals ``1/mu``, reversed into ascending
+    order, are joined even block first, and one stable sort merges them: tied
+    eigenvalues keep even before odd, then their position in the block.  No
+    vector is computed here (see ``EigenSolution.vectors``).
     """
-    ranks, parts = [], []
-    for tag, _, mu, _ in _block_spectra(order, n_max, vectors=False):
-        # mu ascending -> lambda = 1/mu descending; reverse so the within-block
-        # position counts in ascending-lambda order.
-        ranks.append(_PARITIES.index(tag))
-        parts.append(1.0 / mu[::-1])
-    lambdas = np.concatenate(parts)
-    parity_rank = np.repeat(ranks, [part.size for part in parts])
-    position = np.concatenate([np.arange(part.size) for part in parts])
-    perm = np.lexsort((position, parity_rank, lambdas))
+    spectra = _block_spectra(order, n_max, vectors=False)
+    lambdas = np.concatenate([1.0 / mu[::-1] for _, mu, _ in spectra])
+    perm = np.argsort(lambdas, kind="stable")
     lambdas = lambdas[perm]
     lambdas.setflags(write=False)
-    parities = tuple(_PARITIES[rank] for rank in parity_rank[perm])
-    return EigenSolution(order, n_max, lambdas, parities)
+    tags = np.repeat([tag for tag, _, _ in spectra], [mu.size for _, mu, _ in spectra])
+    return EigenSolution(order, n_max, lambdas, tuple(tags[perm].tolist()))
 
 
 def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:

@@ -11,6 +11,7 @@ reduce their gamma ratios to running products of rational factors instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,7 @@ def jacobi_norm_sq(s: float, n: int) -> float:
     ``s`` where that error reaches 1 and no digit is left (from about
     ``s = 6e13``), and where the norm overflows.
     """
+    n = operator.index(n)
     if not s > -1:
         raise ValueError(f"weight exponent must exceed -1, got {s}")
     if not math.isfinite(s):
@@ -121,6 +123,7 @@ def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:
 
 def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
     # Log of the squared energy norm of the unnormalized degree-n basis function.
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     alpha = order.alpha

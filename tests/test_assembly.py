@@ -142,10 +142,11 @@ def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
     # as bands or dense
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
     tables = _entry_tables(two_alpha / 2, n_max)
-    for indices, stored in ((mass.even_indices, mass.even), (mass.odd_indices, mass.odd)):
+    for p, stored in enumerate((mass.even, mass.odd)):
+        indices = np.arange(p, n_max + 1, 2)
         band = stored if mass.banded else _band_block(tables, int(two_alpha / 2), indices)
         expected = scatter_band(band)
-        view = mass.entries[np.ix_(indices, indices)]
+        view = mass.entries[p::2, p::2]
         np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))
 
@@ -160,13 +161,17 @@ def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
 ])
 def test_unrepresentable_mass_matrix_is_named(two_alpha, n_max, cause):
     # refused once, from the tables, before any block holds zeros or NaN;
-    # no overflow warning or OverflowError on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as exc:
-            assemble_mass(FractionalOrder(two_alpha), n_max)
-    assert cause in str(exc.value)
-    assert f"(N={n_max}, 2a={two_alpha:g})" in str(exc.value)
+    # no overflow warning or OverflowError on the way.  mass_entry refuses
+    # alike, naming the smallest N whose matrix holds the entry, of either parity
+    builds = (assemble_mass, lambda order, n: mass_entry(order, n, n),
+              lambda order, n: mass_entry(order, 0, n))
+    for build in builds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                build(FractionalOrder(two_alpha), n_max)
+        assert cause in str(exc.value)
+        assert f"(N={n_max}, 2a={two_alpha:g})" in str(exc.value)
 
 
 def test_largest_entry_in_the_normal_range_assembles():
@@ -228,7 +233,7 @@ def test_tabulated_terms_match_per_entry_formula(two_alpha, n_max):
     # closed form, band zeros included
     order = FractionalOrder(two_alpha)
     mass = assemble_mass(order, n_max)
-    for idx in (mass.even_indices, mass.odd_indices):
+    for idx in (np.arange(p, n_max + 1, 2) for p in (0, 1)):
         block = mass.entries[np.ix_(idx, idx)]
         err = relative_error(block, order.alpha, n_max, idx[:, None], idx[None, :])
         assert err.size == 0 or err.max() <= 1e-14

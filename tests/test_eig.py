@@ -20,6 +20,7 @@ from riesz_eig.specfun import (
     _boundary_weight,
     _jacobi_all,
     basis_coeff,
+    jacobi_norm_sq,
 )
 
 TABLE_16 = [1.7282959570964, 5.75634828003]  # leading pair at 2 alpha = 1.6, N = 64
@@ -116,8 +117,8 @@ def _reference_merge(order, n_max, banded=False):
     """
     mass = assemble_mass(order, n_max)
     merged = []
-    blocks = (("even", mass.even_indices), ("odd", mass.odd_indices))
-    for rank, (tag, indices) in enumerate(blocks):
+    for rank, tag in enumerate(("even", "odd")):
+        indices = np.arange(rank, n_max + 1, 2)
         if indices.size == 0:
             continue
         if banded:
@@ -159,9 +160,9 @@ def _full_row_sign_vectors(sol):
     """The vectors signed by the largest-magnitude entry of each full row."""
     parities = np.array(sol.parities)
     vectors = np.zeros((sol.n_max + 1, sol.n_max + 1))
-    for tag, indices, mu, vecs in riesz_eig.eig._block_spectra(sol.order, sol.n_max, True):
+    for p, (tag, mu, vecs) in enumerate(riesz_eig.eig._block_spectra(sol.order, sol.n_max, True)):
         rows = np.flatnonzero(parities == tag)
-        vectors[np.ix_(rows, indices)] = (vecs[:, ::-1] / np.sqrt(mu[::-1])).T
+        vectors[rows, p::2] = (vecs[:, ::-1] / np.sqrt(mu[::-1])).T
     dominant = vectors[np.arange(sol.n_max + 1), np.argmax(np.abs(vectors), axis=1)]
     vectors[dominant < 0.0] *= -1.0
     return vectors
@@ -181,7 +182,7 @@ def test_vectors_sign_per_block_matches_full_rows(two_alpha, n_max):
 @pytest.mark.parametrize("two_alpha, n_max", [(1.6, 1024), (3.6, 1024), (5.6, 512)])
 def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    blocks = (mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices))
+    blocks = (mass.entries[p::2, p::2] for p in (0, 1))
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_array_equal(solve(FractionalOrder(two_alpha), n_max).lambdas, expected)
 
@@ -299,7 +300,7 @@ def test_banded_spectrum_matches_high_precision(two_alpha, rtol):
 def test_banded_values_equal_dense_values(n_max):
     order = FractionalOrder(2.0)
     mass = assemble_mass(order, n_max)
-    blocks = (mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices))
+    blocks = (mass.entries[p::2, p::2] for p in (0, 1))
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_array_equal(solve(order, n_max).lambdas, expected)
 
@@ -313,9 +314,7 @@ def test_banded_small_degrees(two_alpha, n_max):
     mass = assemble_mass(order, n_max)
     for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
         assert stored.shape == (size, size)
-    blocks = [
-        mass.entries[np.ix_(i, i)] for i in (mass.even_indices, mass.odd_indices) if i.size
-    ]
+    blocks = [mass.entries[p::2, p::2] for p in (0, 1) if p <= n_max]
     expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     sol = solve(order, n_max)
     np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-14, atol=0.0)
@@ -499,6 +498,30 @@ def test_parity_alternation_and_tags():
         assert sol.parities[:6] == ("even", "odd", "even", "odd", "even", "odd")
 
 
+def test_tied_eigenvalues_merge_even_first_then_by_block_position(monkeypatch):
+    # every lambda is tied 14 times, 7 in each block; on these 42 values
+    # numpy's default (unstable) sort mixes the parities of the tied 0.5s
+    mus = [np.repeat([1.0, 2.0, 4.0], 7)] * 2
+
+    def tied_spectra(order, n_max, vectors):
+        return [(tag, mu.copy(), np.eye(mu.size) if vectors else None)
+                for tag, mu in zip(("even", "odd"), mus)]
+
+    monkeypatch.setattr(riesz_eig.eig, "_block_spectra", tied_spectra)
+    sol = solve(FractionalOrder(1.6), 41)
+    # (lambda, parity, position in the block), the position counted in ascending lambda
+    keys = sorted((1.0 / mu[::-1][k], p, k) for p, mu in enumerate(mus) for k in range(mu.size))
+    np.testing.assert_array_equal(sol.lambdas, [lam for lam, _, _ in keys])
+    assert sol.parities == tuple(("even", "odd")[p] for _, p, _ in keys)
+    # the position shows in the vectors: the k-th row of a parity holds the
+    # block's k-th vector, on the degrees p::2
+    for row, (_, p, k) in zip(sol.vectors, keys):
+        col = mus[p].size - 1 - k
+        expected = np.zeros(42)
+        expected[p + 2 * col] = 1.0 / np.sqrt(mus[p][col])
+        np.testing.assert_array_equal(row, expected)
+
+
 def test_min_max_monotonicity():
     order = FractionalOrder(1.6)
     coarse = solve(order, 16)
@@ -586,12 +609,14 @@ def test_eigenfunction_argument_checks():
 @pytest.mark.parametrize("call", [
     lambda order: mass_entry(order, 0.5, 0.5),
     lambda order: mass_entry(order, 1.0, 1),
+    lambda order: basis_coeff(order, 2.5),
+    lambda order: jacobi_norm_sq(order.alpha, 2.5),
     lambda order: oracle_mass_entry(order, 0.5, 0.5),
     lambda order: assemble_mass(order, 8.0),
     lambda order: solve(order, 8.0),
     lambda order: eval_eigenfunction(solve(order, 8), [1.5], [0.0]),
-], ids=["mass_entry_halves", "mass_entry_float_one", "oracle_mass_entry", "assemble_mass",
-        "solve", "eval_eigenfunction"])
+], ids=["mass_entry_halves", "mass_entry_float_one", "basis_coeff", "jacobi_norm_sq",
+        "oracle_mass_entry", "assemble_mass", "solve", "eval_eigenfunction"])
 def test_non_integer_degree_or_index_is_named(call):
     # refused as a type error by operator.index, not rounded, read as an odd
     # index sum or left to fail in numpy's indexing
