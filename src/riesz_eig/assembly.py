@@ -10,8 +10,9 @@ Every entry factors as
     M_ij = K * h_i * h_j * Q((i+j)/2) * U((j-i)/2),
 
 a constant, a per-index term, a term of the index sum and one of the index
-difference.  ``Q`` and ``U`` are running products of rational factors, so a
-block needs no special function beyond the three ``lgamma`` values in ``K``.
+difference.  ``Q`` and ``U`` are Pochhammer ratios, compensated running
+products from ``specfun``, so a block needs no special function beyond the
+three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
 each block is banded.  ``_is_banded`` decides whether the blocks are stored
 as bands or dense, and so which LAPACK drivers ``eig`` runs on them.
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import FractionalOrder
+from .specfun import FractionalOrder, _pochhammer_ratios
 
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
 
@@ -92,53 +93,13 @@ class MassMatrix:
         return full
 
 
-def _two_sum(a, b):
-    """``a + b`` rounded, and the exact rounding error (Knuth's TwoSum)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _product_error(a, b, p):
-    """The exact error ``a*b - p`` of the rounded product ``p`` (Dekker's TwoProduct)."""
-
-    def split(x):  # Veltkamp: two halves of at most 26 significant bits
-        c = 134217729.0 * x
-        hi = c - (c - x)
-        return hi, x - hi
-
-    ah, al = split(a)
-    bh, bl = split(b)
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _ratio_cumprod(num, num_err, den, den_err) -> np.ndarray:
-    """Running products ``1, r_0, r_0 r_1, ...`` of ``r_k = (num + num_err) / (den + den_err)``.
-
-    ``num_err`` and ``den_err`` are the exact rounding errors of ``num`` and
-    ``den``.  Each division and each multiplication of the plain ``cumprod``
-    is measured exactly by an error-free transformation; the running sum of
-    these relative errors corrects every product once at the end, so each
-    comes out within a few ulps however long the run (a compensated product).
-    """
-    ratio = num / den
-    p = ratio * den
-    residual = (num - p) - _product_error(ratio, den, p) + num_err - ratio * den_err
-    rel = np.divide(residual, num, out=np.zeros_like(num), where=num != 0.0)
-    prod = np.cumprod(np.concatenate(([1.0], ratio)))
-    step = _product_error(prod[:-1], ratio, prod[1:])
-    rel += np.divide(step, prod[1:], out=np.zeros_like(step),
-                     where=np.abs(prod[1:]) >= np.finfo(float).tiny)
-    return prod + prod * np.concatenate(([0.0], np.cumsum(rel)))
-
-
 def _entry_tables(alpha: float, m_max: int):
     """``K`` and the tables ``h[0..2 m_max]``, ``Q[0..m_max]``, ``U[0..m_max]``.
 
-    ``h_i = sqrt(2i + 2 alpha + 1)``; ``Q(m+1)/Q(m) = (2m+1)/(2m + 4 alpha + 3)``
-    and ``U(d+1)/U(d) = (d - alpha)/(d + alpha + 1)`` with ``Q(0) = U(0) = 1``;
+    ``h_i = sqrt(2i + 2 alpha + 1)``; ``Q(m) = (1/2)_m / (2 alpha + 3/2)_m`` and
+    ``U(d) = (-alpha)_d / (alpha + 1)_d``, Pochhammer ratios from ``specfun``;
     ``K = Gamma(alpha + 1/2) / (2 Gamma(alpha + 1) Gamma(2 alpha + 3/2))``.  The
-    recurrences follow from the gamma-ratio closed form by Legendre's
+    ratios follow from the gamma-ratio closed form by Legendre's
     duplication formula; ``U`` carries the sign ``(-1)^d`` and, for integer
     ``alpha``, the exact zeros past ``d = alpha``.
     """
@@ -146,14 +107,8 @@ def _entry_tables(alpha: float, m_max: int):
         math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 1.5)
     )
     h = np.sqrt(2.0 * np.arange(2 * m_max + 1.0) + 2.0 * alpha + 1.0)
-    m = np.arange(float(m_max))
-    c, c_err = _two_sum(4.0 * alpha, 3.0)
-    den, den_err = _two_sum(2.0 * m, c)
-    q = _ratio_cumprod(2.0 * m + 1.0, np.zeros_like(m), den, den_err + c_err)
-    num, num_err = _two_sum(m, -alpha)
-    c, c_err = _two_sum(alpha, 1.0)
-    den, den_err = _two_sum(m, c)
-    u = _ratio_cumprod(num, num_err, den, den_err + c_err)
+    q = _pochhammer_ratios((0.5, 0.0), (2.0 * alpha, 1.5), m_max)
+    u = _pochhammer_ratios((-alpha, 0.0), (alpha, 1.0), m_max)
     u += 0.0  # the band zeros of integer alpha come out of cumprod as +-0.0; keep +0.0
     return k, h, q, u
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .assembly import assemble_mass
-from .specfun import FractionalOrder, _boundary_weight, _jacobi_all, basis_coeff
+from .specfun import FractionalOrder, _basis_scales, _boundary_weight, _jacobi_all
 
 __all__ = ["EigenSolution", "sym_eig", "solve", "eval_eigenfunction"]
 
@@ -160,32 +159,6 @@ def _blas_single_threaded() -> bool:
     return False  # OpenBLAS runs a thread per core
 
 
-def _in_parallel(first, second):
-    """``(first(), second())``, with ``second`` run on a helper thread meanwhile.
-
-    The helper is joined before anything propagates; when both raise, the
-    error of ``first`` is the one raised.
-    """
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((True, second()))
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            outcome.append((False, exc))
-
-    helper = threading.Thread(target=run, name="riesz-eig-odd-block")
-    helper.start()
-    try:
-        result = first()
-    finally:
-        helper.join()
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return result, value
-
-
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     """Solve each nonempty parity block; return a list of ``(tag, mu, vecs)``.
 
@@ -243,7 +216,13 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
 
     odd_rows = (n_max + 1) // 2
     if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and _blas_single_threaded():
-        return list(_in_parallel(lambda: spectrum(0), lambda: spectrum(1)))
+        from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
+
+        # leaving the block joins the helper; then an error of the even block wins
+        with ThreadPoolExecutor(1, thread_name_prefix="riesz-eig-odd-block") as pool:
+            odd = pool.submit(spectrum, 1)
+            even = spectrum(0)
+        return [even, odd.result()]
     return [spectrum(p) for p in range(2 if odd_rows else 1)]
 
 
@@ -282,7 +261,7 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
         raise ValueError("sample points must lie in [-1, 1]")
     vectors = sol.vectors
     alpha = sol.order.alpha
-    scale = np.array([basis_coeff(sol.order, n) for n in range(sol.n_max + 1)])
+    scale = _basis_scales(sol.order, sol.n_max)
     rows = _jacobi_all(alpha, sol.n_max, x)
     weight = _boundary_weight(alpha, x)
     samples = np.empty((len(indices), x.size))

@@ -23,13 +23,7 @@ import operator
 
 import numpy as np
 
-from .specfun import (
-    FractionalOrder,
-    _image_prefactor,
-    _jacobi_all,
-    basis_coeff,
-    jacobi_norm_sq,
-)
+from .specfun import FractionalOrder, _basis_scales, _image_prefactors, _jacobi_all, jacobi_norm_sq
 
 __all__ = [
     "gauss_jacobi",
@@ -97,7 +91,8 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     nodes, weights = gauss_jacobi(2.0 * order.alpha, (i + j + 1) // 2 + 1)
     rows = _jacobi_all(order.alpha, max(i, j), nodes)
     integral = float(np.dot(weights, rows[i] * rows[j]))
-    return basis_coeff(order, i) * basis_coeff(order, j) * integral
+    scales = _basis_scales(order, max(i, j))
+    return float(scales[i] * scales[j] * integral)
 
 
 def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) -> np.ndarray:
@@ -111,7 +106,7 @@ def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) ->
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
     nodes, weights = gauss_jacobi(weight_scale * order.alpha, n_max + 1)
     rows = _jacobi_all(order.alpha, n_max, nodes)
-    coeffs = np.array([basis_coeff(order, n) for n in range(n_max + 1)])
+    coeffs = _basis_scales(order, n_max)
     return coeffs[:, None] * ((rows * weights) @ rows.T) * coeffs
 
 
@@ -127,8 +122,9 @@ def stiffness_check(order: FractionalOrder, n_max: int) -> float:
     this measures ``|c_m c_n <basis_m, basis_n>_energy - delta_mn|`` over
     ``m <= n <= n_max``.  The derivative image of ``basis_m`` turns each
     inner product into its prefactor times the Gram entry under the weight
-    ``(1-x^2)^alpha``, all from one rule.
+    ``(1-x^2)^alpha``, all from one rule.  Where the largest prefactor is
+    too large for double precision, a ``ValueError`` names ``2a`` and ``N``.
     """
     gram = _normalized_gram(order, 1.0, n_max)
-    prefactors = np.array([_image_prefactor(order.alpha, m) for m in range(n_max + 1)])
+    prefactors = _image_prefactors(order.alpha, n_max)
     return float(np.max(np.triu(np.abs(prefactors[:, None] * gram - np.eye(n_max + 1)))))

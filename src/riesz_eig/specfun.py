@@ -3,9 +3,10 @@
 Everything downstream (quadrature rules, matrix entries, norms) is a ratio of
 gamma functions times a polynomial value.  The Jacobi polynomials are the
 ``P_n^{s,s}`` of the symmetric weight ``(1-x^2)^s``, the only family the basis
-and its integrals use.  The norms and scales here are assembled in the log
-domain so that large indices never overflow; the mass entries (``assembly``)
-reduce their gamma ratios to running products of rational factors instead.
+and its integrals use.  Degree-indexed gamma ratios are compensated
+Pochhammer products: the basis scales, the image prefactors and the mass tables
+of ``assembly`` are each a ``_pochhammer_ratios`` table times a constant of the
+order alone, accurate to a few ulps at any degree.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
 
 _LOG_2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
+# 1.3e300: Veltkamp's split in _product_error overflows on a factor above it
+_SPLIT_MAX = float(np.finfo(float).max) / 134217729.0
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,62 @@ class FractionalOrder:
     @property
     def alpha(self) -> float:
         return 0.5 * self.two_alpha
+
+
+def _two_sum(a, b):
+    """``a + b`` rounded, and the exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _product_error(a, b, p):
+    """The exact error ``a*b - p`` of the rounded product ``p`` (Dekker's TwoProduct)."""
+
+    def split(x):  # Veltkamp: two halves of at most 26 bits each, for |x| < _SPLIT_MAX
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    ah, al = split(a)
+    bh, bl = split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _ratio_cumprod(num, num_err, den, den_err) -> np.ndarray:
+    """Running products ``1, r_0, r_0 r_1, ...`` of ``r_k = (num + num_err) / (den + den_err)``.
+
+    ``num_err`` and ``den_err`` are the exact rounding errors of ``num`` and
+    ``den``.  Each division and each multiplication of the plain ``cumprod``
+    is measured exactly by an error-free transformation; the running sum of
+    these relative errors corrects every product once at the end, so each
+    comes out within a few ulps however long the run (a compensated product),
+    as long as every factor and product stays below ``_SPLIT_MAX``.
+    """
+    ratio = num / den
+    p = ratio * den
+    residual = (num - p) - _product_error(ratio, den, p) + num_err - ratio * den_err
+    rel = np.divide(residual, num, out=np.zeros_like(num), where=num != 0.0)
+    prod = np.cumprod(np.concatenate(([1.0], ratio)))
+    step = _product_error(prod[:-1], ratio, prod[1:])
+    rel += np.divide(step, prod[1:], out=np.zeros_like(step),
+                     where=np.abs(prod[1:]) >= np.finfo(float).tiny)
+    return prod + prod * np.concatenate(([0.0], np.cumsum(rel)))
+
+
+def _pochhammer_ratios(p, q, n_max: int) -> np.ndarray:
+    """``(p)_n / (q)_n`` for ``n = 0..n_max``, a compensated running product.
+
+    Each shift is a pair of doubles whose exact sum it is, so ``2a + 3/2`` is
+    ``(2a, 1.5)``; its rounding and that of each ``k + shift`` are carried.
+    """
+    k = np.arange(float(n_max))
+    terms = []
+    for shift in (p, q):
+        c, c_err = _two_sum(*shift)
+        s, s_err = _two_sum(k, c)
+        terms += [s, s_err + c_err]
+    return _ratio_cumprod(*terms)
 
 
 def _jacobi_all(s: float, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -121,38 +180,47 @@ def _boundary_weight(alpha: float, x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _log_a_norm_sq(order: FractionalOrder, n: int) -> float:
-    # Log of the squared energy norm of the unnormalized degree-n basis function.
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    alpha = order.alpha
-    return (
-        (2.0 * alpha + 1.0) * _LOG_2
-        + 2.0 * (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
-        - math.log(2.0 * n + 2.0 * alpha + 1.0)
-    )
+def _basis_scales(order: FractionalOrder, n_max: int) -> np.ndarray:
+    """``basis_coeff(order, n)`` for ``n = 0..n_max``, bit for bit.
+
+    ``c_n = sqrt(2n + 2a + 1) (1)_n / (a+1)_n`` times ``2^{-(a+1/2)} / Gamma(a+1)``,
+    a constant of the order alone, so the error does not grow with the degree.
+    """
+    a = order.alpha
+    h = np.sqrt(2.0 * np.arange(n_max + 1.0) + 2.0 * a + 1.0)
+    return h * _pochhammer_ratios((1.0, 0.0), (a, 1.0), n_max) * math.exp(
+        -(a + 0.5) * _LOG_2 - math.lgamma(a + 1.0))
 
 
 def basis_coeff(order: FractionalOrder, n: int) -> float:
     """Normalization constant making the basis orthonormal in the operator energy norm.
 
-    Computed in the log domain, so it neither overflows nor underflows up to
-    ``n = 1e5`` and beyond.  Its digits do decay with the degree: the
-    log-gamma difference cancels, and the relative error grows like
-    ``eps * n log n``.  Against 40-digit mpmath at 2a in {0.5, 1.6, 3.6, 5.6}
-    it was at most 2.1e-12 over n = 950..1000, 4.0e-11 over n = 9950..10^4
-    and 4.6e-10 over n = 99950..10^5.
+    Entry ``n`` of ``_basis_scales``, whose error does not grow with ``n``:
+    against 40-digit mpmath at 2a in {0.5, 1.6, 3.6, 5.6} it was at most
+    9.2e-16 over n <= 1100 and 7.2e-16 at n = 10^4 and 10^5.
     """
-    return math.exp(-0.5 * _log_a_norm_sq(order, n))
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    return float(_basis_scales(order, n)[n])
 
 
-def _image_prefactor(alpha: float, m: int) -> float:
-    """``Gamma(m + 2 alpha + 1) / Gamma(m + 1)``: the degree-``m`` derivative-image factor.
+def _image_prefactors(alpha: float, m_max: int) -> np.ndarray:
+    """``Gamma(m + 2 alpha + 1) / Gamma(m + 1)`` for ``m = 0..m_max``: the derivative-image factors.
 
     The fractional derivative of order ``2*alpha`` maps the degree-``m``
     singular basis function onto this factor times ``P_m^{alpha,alpha}``, up
     to a sign, so each energy inner product is this factor times a Jacobi
-    product integral under the weight ``(1-x^2)^alpha``.
+    product integral under the weight ``(1-x^2)^alpha``.  Built as
+    ``Gamma(2 alpha + 1) (2 alpha + 1)_m / (1)_m``; a table whose largest
+    factor passes ``_SPLIT_MAX`` is refused, before it is built, by a
+    ``ValueError`` naming ``2a`` and ``N = m_max``.
     """
-    return math.exp(math.lgamma(m + 2.0 * alpha + 1.0) - math.lgamma(m + 1.0))
+    s = 2.0 * alpha
+    log_largest = math.lgamma(m_max + s + 1.0) - math.lgamma(m_max + 1.0)
+    if not log_largest < math.log(_SPLIT_MAX):
+        raise ValueError(
+            f"the derivative-image prefactor Gamma(N+2a+1)/N! = exp({log_largest:.1f}) exceeds "
+            f"{_SPLIT_MAX:.1e}, the most its compensated product holds (N={m_max}, 2a={s:g})"
+        )
+    return math.exp(math.lgamma(s + 1.0)) * _pochhammer_ratios((s, 1.0), (1.0, 0.0), m_max)

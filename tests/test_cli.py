@@ -306,9 +306,9 @@ def test_eig_partial_underflow_is_an_error(capsys, two_alpha, n):
 @pytest.mark.parametrize("argv, cause", [
     ("mass --two-alpha 700 --n 2 --verify-oracle", "every entry of the mass matrix underflows"),
     ("mass --two-alpha 300 --n 2", "every entry of the mass matrix underflows"),
-    ("mass --two-alpha 1e300 --n 2", "the mass matrix is not finite"),
-    ("mass --two-alpha 1e300 --n 2 --verify-oracle", "the mass matrix is not finite"),
-    ("eig --two-alpha 1e300 --n 2", "the mass matrix is not finite"),
+    ("mass --two-alpha 1e300 --n 2", "every entry of the mass matrix underflows"),
+    ("mass --two-alpha 1e300 --n 2 --verify-oracle", "every entry of the mass matrix underflows"),
+    ("eig --two-alpha 1e300 --n 2", "every entry of the mass matrix underflows"),
 ])
 def test_unrepresentable_mass_matrix_is_one_error_line(tmp_path, capsys, argv, cause):
     # no all-zero or NaN matrix, no zero oracle deviation, no traceback

@@ -147,6 +147,7 @@ def test_oracle_mass_entry_values():
     assert math.isclose(oracle_mass_entry(order, 0, 0), 0.4, rel_tol=1e-12)
     expected = -math.sqrt(21.0) / 105.0
     assert math.isclose(oracle_mass_entry(order, 0, 2), expected, rel_tol=1e-12)
+    assert type(oracle_mass_entry(order, 0, 2)) is float
 
 
 @pytest.mark.parametrize("two_alpha", [0.5, 1.3, 2.0, 5.6])
@@ -182,7 +183,17 @@ def test_oracle_mass_matrix_matches_assembly_at_cli_size(two_alpha):
 
 @pytest.mark.parametrize("two_alpha", [0.5, 2.0, 5.6])
 def test_stiffness_check_at_cli_size(two_alpha):
-    assert stiffness_check(FractionalOrder(two_alpha), 1024) <= 1e-11
+    assert stiffness_check(FractionalOrder(two_alpha), 1024) <= 2.5e-12
+
+
+@pytest.mark.parametrize("two_alpha", [170.0, 200.0])
+def test_stiffness_check_names_prefactors_too_large(two_alpha):
+    # Gamma(N + 2a + 1)/N! passes what the compensated product holds: a named
+    # refusal, not an OverflowError, an inf or an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"(N=8, 2a={two_alpha:g})")):
+            stiffness_check(FractionalOrder(two_alpha), 8)
 
 
 @pytest.mark.parametrize("two_alpha", [1.0, 1.6, 2.0, 2.6, 3.6, 5.6])

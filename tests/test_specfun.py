@@ -7,8 +7,9 @@ from scipy.special import eval_jacobi
 
 from riesz_eig.specfun import (
     FractionalOrder,
+    _basis_scales,
     _boundary_weight,
-    _image_prefactor,
+    _image_prefactors,
     _jacobi_all,
     basis_coeff,
     jacobi_norm_sq,
@@ -170,15 +171,34 @@ def test_basis_coeff_no_overflow_at_large_degree():
     order = FractionalOrder(1.6)
     c = basis_coeff(order, 100_000)
     assert 0.0 < c < math.inf
+    # nor loss of digits: against c_n = 2^{-(a+1/2)} sqrt(2n+2a+1) n! / Gamma(n+a+1)
+    # in 40-digit mpmath, where a log-gamma difference loses eps * n log n
+    with mp.workdps(40):
+        for two_alpha in (0.5, 5.6):
+            a = mp.mpf(two_alpha) / 2
+            for n in (1000, 10_000, 100_000):
+                exact = mp.power(2, -(a + mp.mpf(1) / 2)) * mp.sqrt(2 * n + 2 * a + 1) * mp.exp(
+                    mp.loggamma(n + 1) - mp.loggamma(n + a + 1))
+                got = basis_coeff(FractionalOrder(two_alpha), n)
+                assert abs(got - exact) <= 4e-15 * exact, (two_alpha, n)
+
+
+@pytest.mark.parametrize("two_alpha, n_max", [(0.37, 0), (1.6, 1), (1.6, 65), (5.6, 300)])
+def test_basis_coeff_is_its_table_entry(two_alpha, n_max):
+    order = FractionalOrder(two_alpha)
+    table = _basis_scales(order, n_max)
+    for n in range(n_max + 1):
+        assert type(basis_coeff(order, n)) is float
+        assert basis_coeff(order, n) == table[n]
 
 
 # ---------------------------------------------------- derivative image
 
 def test_image_prefactor_known_values():
     # Gamma(m + 2 alpha + 1) / m!
-    assert math.isclose(_image_prefactor(1.0, 0), 2.0, rel_tol=1e-14)
-    assert math.isclose(_image_prefactor(0.8, 0), math.gamma(2.6), rel_tol=1e-14)
-    assert math.isclose(_image_prefactor(1.5, 4), math.factorial(7) / math.factorial(4), rel_tol=1e-13)
+    assert math.isclose(_image_prefactors(1.0, 0)[0], 2.0, rel_tol=1e-14)
+    assert math.isclose(_image_prefactors(0.8, 0)[0], math.gamma(2.6), rel_tol=1e-14)
+    assert math.isclose(_image_prefactors(1.5, 4)[4], math.factorial(7) / math.factorial(4), rel_tol=1e-13)
 
 
 # ------------------------------------------------------------ energy norms
@@ -194,7 +214,7 @@ def test_a_norm_gamma_ratio_identity(two_alpha, n):
     # |J_n|^2 = Gamma(n+2a+1)/n! * gamma_n^{a,a}
     order = FractionalOrder(two_alpha)
     alpha = order.alpha
-    expected = _image_prefactor(alpha, n) * jacobi_norm_sq(alpha, n)
+    expected = _image_prefactors(alpha, n)[n] * jacobi_norm_sq(alpha, n)
     assert math.isclose(basis_coeff(order, n) ** -2, expected, rel_tol=1e-13)
 
 
