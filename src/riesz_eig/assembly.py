@@ -17,8 +17,8 @@ For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
 each block is banded.  ``_is_banded`` decides whether the blocks are stored
 as bands or dense, and so which LAPACK drivers ``eig`` runs on them.
 ``assemble_mass`` builds the tables once for both blocks.  It and
-``mass_entry`` refuse, by name, an order whose tables double precision cannot
-hold: not finite, or so small that every entry underflows.
+``mass_entry`` refuse, by name, an order whose largest entry ``M_00`` lies
+below the smallest normal double, so that every entry underflows.
 """
 
 from __future__ import annotations
@@ -94,51 +94,36 @@ class MassMatrix:
 
 
 def _entry_tables(alpha: float, m_max: int):
-    """``K`` and the tables ``h[0..2 m_max]``, ``Q[0..m_max]``, ``U[0..m_max]``.
+    """``K`` and the tables ``h[0..m_max]``, ``Q[0..m_max]``, ``U[0..m_max]``.
 
     ``h_i = sqrt(2i + 2 alpha + 1)``; ``Q(m) = (1/2)_m / (2 alpha + 3/2)_m`` and
     ``U(d) = (-alpha)_d / (alpha + 1)_d``, Pochhammer ratios from ``specfun``;
     ``K = Gamma(alpha + 1/2) / (2 Gamma(alpha + 1) Gamma(2 alpha + 3/2))``.  The
     ratios follow from the gamma-ratio closed form by Legendre's
     duplication formula; ``U`` carries the sign ``(-1)^d`` and, for integer
-    ``alpha``, the exact zeros past ``d = alpha``.
+    ``alpha``, the exact zeros past ``d = alpha``.  The largest entry,
+    ``M_00 = K h_0^2``, decides first: where it is not a normal double every
+    entry has underflowed, and a ``ValueError`` naming ``N = m_max`` and
+    ``2a`` says so before ``Q`` and ``U`` are built.
     """
-    k = 0.5 * math.exp(
-        math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 1.5)
-    )
-    h = np.sqrt(2.0 * np.arange(2 * m_max + 1.0) + 2.0 * alpha + 1.0)
-    q = _pochhammer_ratios((0.5, 0.0), (2.0 * alpha, 1.5), m_max)
-    u = _pochhammer_ratios((-alpha, 0.0), (alpha, 1.0), m_max)
-    u += 0.0  # the band zeros of integer alpha come out of cumprod as +-0.0; keep +0.0
-    return k, h, q, u
-
-
-def _checked_tables(order: FractionalOrder, n_max: int):
-    """``_entry_tables(alpha, n_max)``, refused by name where double precision cannot hold them.
-
-    The tables must be finite, and the largest entry, ``M_00 = K h_0^2``,
-    must be a normal double: below that, every entry has underflowed.
-    """
-    where = f"N={n_max}, 2a={order.two_alpha:g}"
     try:
-        # the check below names what these warnings would only hint at
-        with np.errstate(over="ignore", invalid="ignore"):
-            k, h, q, u = tables = _entry_tables(order.alpha, n_max)
-        finite = math.isfinite(k) and all(np.all(np.isfinite(t)) for t in (h, q, u))
-    except OverflowError:  # lgamma of an order near the largest double
-        finite = False
-    if not finite:
-        raise ValueError(
-            f"the mass matrix is not finite in double precision: its entry tables "
-            f"overflow ({where})"
+        k = 0.5 * math.exp(
+            math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 1.5)
         )
+    except OverflowError:  # lgamma overflows only where K has long underflowed
+        k = 0.0
+    h = np.sqrt(2.0 * np.arange(m_max + 1.0) + 2.0 * alpha + 1.0)
     largest = k * (h[0] * h[0])
     if largest < _TINY:
         raise ValueError(
             f"every entry of the mass matrix underflows in double precision: the largest, "
-            f"M_00 = {largest:.3e}, lies below the smallest normal double {_TINY:.3e} ({where})"
+            f"M_00 = {largest:.3e}, lies below the smallest normal double {_TINY:.3e} "
+            f"(N={m_max}, 2a={2.0 * alpha:g})"
         )
-    return tables
+    q = _pochhammer_ratios((0.5, 0.0), (2.0 * alpha, 1.5), m_max)
+    u = _pochhammer_ratios((-alpha, 0.0), (alpha, 1.0), m_max)
+    u += 0.0  # the band zeros of integer alpha come out of cumprod as +-0.0; keep +0.0
+    return k, h, q, u
 
 
 def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -157,13 +142,13 @@ def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     """Closed-form mass entry; an exact 0 when ``i + j`` is odd.
 
-    An order whose tables double precision cannot hold is refused by name,
-    as ``assemble_mass`` refuses it.
+    An order at which every entry underflows is refused by name, as
+    ``assemble_mass`` refuses it.
     """
     i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    tables = _checked_tables(order, max(i, j))  # the smallest matrix that holds the entry
+    tables = _entry_tables(order.alpha, max(i, j))  # the smallest matrix that holds the entry
     if (i + j) % 2 == 1:
         return 0.0
     return float(_entry_values(tables, np.array([i]), np.array([j]))[0])
@@ -210,13 +195,13 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     flops with no per-entry special function.  Where ``_is_banded`` holds,
     only the band is evaluated and stored, O(N alpha) entries.  The odd-sum
     entries between the blocks are exact zeros and are not stored.  An order
-    whose entries double precision cannot hold raises a ``ValueError`` naming
-    ``2a``, ``N`` and whether they overflow or underflow.
+    whose largest entry ``M_00`` lies below the smallest normal double raises
+    a ``ValueError`` naming ``2a`` and ``N``: every entry underflows.
     """
     n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    tables = _checked_tables(order, n_max)
+    tables = _entry_tables(order.alpha, n_max)
     banded = _is_banded(order, n_max)
     even, odd = (
         _band_block(tables, int(order.alpha), indices) if banded else _dense_block(tables, indices)

@@ -56,7 +56,7 @@ def gauss_jacobi(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     the rule is exact on polynomials of degree <= 2m-1.
 
     Raises ``ValueError`` for an exponent that ``jacobi_norm_sq`` refuses:
-    not finite, or too large for its log-gamma terms to keep a digit.
+    infinite, or too large for its log-gamma terms to keep a digit.
     """
     m = operator.index(m)
     if m < 1:

@@ -66,32 +66,16 @@ def _product_error(a, b, p):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _ratio_cumprod(num, num_err, den, den_err) -> np.ndarray:
-    """Running products ``1, r_0, r_0 r_1, ...`` of ``r_k = (num + num_err) / (den + den_err)``.
-
-    ``num_err`` and ``den_err`` are the exact rounding errors of ``num`` and
-    ``den``.  Each division and each multiplication of the plain ``cumprod``
-    is measured exactly by an error-free transformation; the running sum of
-    these relative errors corrects every product once at the end, so each
-    comes out within a few ulps however long the run (a compensated product),
-    as long as every factor and product stays below ``_SPLIT_MAX``.
-    """
-    ratio = num / den
-    p = ratio * den
-    residual = (num - p) - _product_error(ratio, den, p) + num_err - ratio * den_err
-    rel = np.divide(residual, num, out=np.zeros_like(num), where=num != 0.0)
-    prod = np.cumprod(np.concatenate(([1.0], ratio)))
-    step = _product_error(prod[:-1], ratio, prod[1:])
-    rel += np.divide(step, prod[1:], out=np.zeros_like(step),
-                     where=np.abs(prod[1:]) >= np.finfo(float).tiny)
-    return prod + prod * np.concatenate(([0.0], np.cumsum(rel)))
-
-
 def _pochhammer_ratios(p, q, n_max: int) -> np.ndarray:
     """``(p)_n / (q)_n`` for ``n = 0..n_max``, a compensated running product.
 
     Each shift is a pair of doubles whose exact sum it is, so ``2a + 3/2`` is
     ``(2a, 1.5)``; its rounding and that of each ``k + shift`` are carried.
+    Each division and each multiplication of the plain ``cumprod`` of the
+    ratios ``r_k = (k + p) / (k + q)`` is measured exactly by an error-free
+    transformation; the running sum of these relative errors corrects every
+    product once at the end, so each comes out within a few ulps however long
+    the run, as long as every factor and product stays below ``_SPLIT_MAX``.
     """
     k = np.arange(float(n_max))
     terms = []
@@ -99,7 +83,16 @@ def _pochhammer_ratios(p, q, n_max: int) -> np.ndarray:
         c, c_err = _two_sum(*shift)
         s, s_err = _two_sum(k, c)
         terms += [s, s_err + c_err]
-    return _ratio_cumprod(*terms)
+    num, num_err, den, den_err = terms
+    ratio = num / den
+    back = ratio * den
+    residual = (num - back) - _product_error(ratio, den, back) + num_err - ratio * den_err
+    rel = np.divide(residual, num, out=np.zeros_like(num), where=num != 0.0)
+    prod = np.cumprod(np.concatenate(([1.0], ratio)))
+    step = _product_error(prod[:-1], ratio, prod[1:])
+    rel += np.divide(step, prod[1:], out=np.zeros_like(step),
+                     where=np.abs(prod[1:]) >= np.finfo(float).tiny)
+    return prod + prod * np.concatenate(([0.0], np.cumsum(rel)))
 
 
 def _jacobi_all(s: float, n_max: int, x: np.ndarray) -> np.ndarray:
@@ -187,9 +180,14 @@ def _basis_scales(order: FractionalOrder, n_max: int) -> np.ndarray:
     a constant of the order alone, so the error does not grow with the degree.
     """
     a = order.alpha
+    try:
+        scale = math.exp(-(a + 0.5) * _LOG_2 - math.lgamma(a + 1.0))
+    except OverflowError:  # lgamma overflows only where the scale has long underflowed
+        scale = 0.0
+    if scale == 0.0:  # the true, underflowed value; no table whose shifts pass _SPLIT_MAX
+        return np.zeros(n_max + 1)
     h = np.sqrt(2.0 * np.arange(n_max + 1.0) + 2.0 * a + 1.0)
-    return h * _pochhammer_ratios((1.0, 0.0), (a, 1.0), n_max) * math.exp(
-        -(a + 0.5) * _LOG_2 - math.lgamma(a + 1.0))
+    return h * _pochhammer_ratios((1.0, 0.0), (a, 1.0), n_max) * scale
 
 
 def basis_coeff(order: FractionalOrder, n: int) -> float:

@@ -164,6 +164,16 @@ def test_spectrum_report_poincare_bound_out_of_range():
         spectrum_report(sol)
 
 
+def test_spectrum_report_poincare_bound_edge():
+    # Gamma(171) = 7.3e306 is the last integer-argument gamma below the double
+    # range, and at 2a = 170 M_00 is still normal; Gamma(172) overflows
+    report = spectrum_report(make_solution(170.0, 1, [1.0, 2.0]))
+    assert report.poincare_bound == math.exp(math.lgamma(171.0)) < math.inf
+    with pytest.raises(ValueError, match=r"^the Poincare bound Gamma\(2a\+1\) exceeds the double "
+                                         r"range at 2a=171$"):
+        spectrum_report(make_solution(171.0, 1, [1.0, 2.0]))
+
+
 @pytest.mark.parametrize("two_alpha", [0.2, 1.0, 2.0, 3.6])
 def test_bounds_small_sweep(two_alpha):
     order = FractionalOrder(two_alpha)

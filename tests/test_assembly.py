@@ -157,12 +157,16 @@ def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
     (700.0, 2, "every entry of the mass matrix underflows"),
     (300.5, 2, "every entry of the mass matrix underflows"),
     (1e300, 2, "every entry of the mass matrix underflows"),
-    (1.7e308, 3, "the mass matrix is not finite"),
+    (2e300, 2, "every entry of the mass matrix underflows"),
+    (1e306, 2, "every entry of the mass matrix underflows"),
+    (1.7e308, 3, "every entry of the mass matrix underflows"),
 ])
 def test_unrepresentable_mass_matrix_is_named(two_alpha, n_max, cause):
-    # refused once, from the tables, before any block holds zeros or NaN;
-    # no overflow warning or OverflowError on the way.  mass_entry refuses
-    # alike, naming the smallest N whose matrix holds the entry, of either parity
+    # refused once, from K and h_0, before any table or block is built: past
+    # 2a of about 1.3e300 the Q and U shifts would pass specfun._SPLIT_MAX, and
+    # past about 2.5e305 lgamma overflows; no warning or OverflowError on the
+    # way.  mass_entry refuses alike, naming the smallest N whose matrix holds
+    # the entry, of either parity
     builds = (assemble_mass, lambda order, n: mass_entry(order, n, n),
               lambda order, n: mass_entry(order, 0, n))
     for build in builds:

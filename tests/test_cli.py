@@ -309,6 +309,8 @@ def test_eig_partial_underflow_is_an_error(capsys, two_alpha, n):
     ("mass --two-alpha 1e300 --n 2", "every entry of the mass matrix underflows"),
     ("mass --two-alpha 1e300 --n 2 --verify-oracle", "every entry of the mass matrix underflows"),
     ("eig --two-alpha 1e300 --n 2", "every entry of the mass matrix underflows"),
+    ("eig --two-alpha 1e306 --n 2", "every entry of the mass matrix underflows"),
+    ("mass --two-alpha 1.7e308 --n 2", "every entry of the mass matrix underflows"),
 ])
 def test_unrepresentable_mass_matrix_is_one_error_line(tmp_path, capsys, argv, cause):
     # no all-zero or NaN matrix, no zero oracle deviation, no traceback

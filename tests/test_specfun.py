@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -190,6 +191,19 @@ def test_basis_coeff_is_its_table_entry(two_alpha, n_max):
     for n in range(n_max + 1):
         assert type(basis_coeff(order, n)) is float
         assert basis_coeff(order, n) == table[n]
+
+
+@pytest.mark.parametrize("two_alpha", [3e300, 1e306, 1.7e308])
+@pytest.mark.parametrize("n", [0, 3])
+def test_basis_coeff_underflows_to_zero_at_extreme_orders(two_alpha, n):
+    # the constant 2^{-(a+1/2)} / Gamma(a+1) underflows (lgamma overflows past
+    # 2a of about 5e305), and no table is built whose shifts pass _SPLIT_MAX:
+    # the true value 0.0, with no warning, NaN or OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = basis_coeff(FractionalOrder(two_alpha), n)
+    assert type(c) is float
+    assert c == 0.0
 
 
 # ---------------------------------------------------- derivative image

@@ -48,6 +48,10 @@ CORNERS = (
     ("eigfun", "--two-alpha", "2", "--n", "1100"),
     ("eig", "--two-alpha", "5.6", "--n", "512", "--vectors"),  # refused: lost small end
     ("eig", "--two-alpha", "12", "--n", "600"),  # refused: lost small end
+    ("eig", "--two-alpha", "170.2", "--n", "1"),  # refused: the odd block underflows
+    ("eig", "--two-alpha", "171", "--n", "2"),  # refused: every entry underflows
+    ("eig", "--two-alpha", "3e300", "--n", "2"),  # refused: K underflows; no Q, U built
+    ("mass", "--two-alpha", "1.7e308", "--n", "2"),  # refused: lgamma overflows, so K = 0
 )
 
 
