@@ -84,13 +84,19 @@ class EigenSolution:
         return vectors
 
 
-def _symmetric_eig(matrix, solver):
-    """Run the numpy symmetric eigensolver ``solver`` on ``matrix`` after the checks."""
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a symmetric matrix: ascending values, orthonormal columns.
+
+    Backed by ``numpy.linalg.eigh``, LAPACK's divide-and-conquer routine
+    ``syevd`` (Householder tridiagonalization, then divide and conquer with
+    vectors).  Rejects matrices whose asymmetry exceeds 1e-14 relative to
+    the largest entry; non-convergence raises ``RuntimeError`` with the
+    dimension and scale, since it signals a bug rather than a user error.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # Every assembled block is exactly symmetric; the tolerance test below
-    # allocates n^2 temporaries, which two blocks in flight would hold at once.
+    # exact symmetry first: the tolerance test allocates n^2 temporaries
     if not np.array_equal(m, m.T):
         scale = np.max(np.abs(m)) if m.size else 0.0
         asym = np.max(np.abs(m - m.T)) if m.size else 0.0
@@ -98,30 +104,13 @@ def _symmetric_eig(matrix, solver):
             raise ValueError(
                 f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}"
             )
-    return _converged(solver, m)
-
-
-def _converged(solver, m):
-    """``solver(m)``, with LAPACK non-convergence raised as a diagnosed ``RuntimeError``."""
     try:
-        return solver(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         scale = np.max(np.abs(m)) if m.size else 0.0
         raise RuntimeError(
             f"symmetric eigensolve failed to converge (dim {m.shape[-1]}, scale {scale:.3e})"
         ) from exc
-
-
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a symmetric matrix: ascending values, orthonormal columns.
-
-    Backed by ``numpy.linalg.eigh``, LAPACK's divide-and-conquer routine
-    ``syevd`` (Householder tridiagonalization, then divide and conquer with
-    vectors).  Rejects matrices whose asymmetry exceeds 1e-14 relative to
-    the largest entry; non-convergence raises with diagnostics since it
-    signals a bug rather than a user error.
-    """
-    return _symmetric_eig(matrix, np.linalg.eigh)
 
 
 def _check_block_mu(mu, tag, order, n_max, lost):
@@ -165,11 +154,12 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     Item ``p`` is the block on the degrees ``p::2``: the even block, then
     the odd one unless it is empty (``N = 0``).  ``mu`` is the block's
     ascending spectrum and ``vecs`` its orthonormal eigenvectors as columns,
-    or ``None`` unless ``vectors`` is true.  The driver follows the stored
-    form and the request.  Blocks stored as bands go to LAPACK ``sbevd``
-    through ``scipy.linalg.eigvals_banded`` or ``eig_banded``, and only they
-    import SciPy.  Dense blocks go to ``numpy.linalg.eigvalsh`` under
-    ``sym_eig``'s checks, or to ``sym_eig`` itself.  On a tridiagonal block
+    or ``None`` unless ``vectors`` is true.  One driver, picked from the
+    stored form and the request, solves every block; a failure raises one
+    ``RuntimeError`` naming the block, ``N`` and ``2a``.  Bands go to LAPACK
+    ``sbevd`` via ``scipy.linalg.eigvals_banded`` or ``eig_banded`` (the only
+    SciPy import), exactly symmetric dense blocks to ``numpy.linalg.eigvalsh``
+    or to ``sym_eig``, looked up per call for wrappers.  On a tridiagonal block
     the reduction ``sytrd`` of the dense drivers is the identity, so they
     give the banded drivers' values bit for bit and their vectors up to sign.
     ``eigvalsh`` is ``syevd`` without vectors, whose tridiagonal stage is the
@@ -192,24 +182,26 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     it beside them.
     """
     mass = assemble_mass(order, n_max)
+    if mass.banded:
+        # Deferred: only these blocks need SciPy, and importing it at module
+        # load would more than double the start-up of every other CLI call.
+        import scipy.linalg
+
+        driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
+    else:
+        driver = sym_eig if vectors else np.linalg.eigvalsh
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
         lost = "the eigensolver has lost the small end of this graded block"
 
     def spectrum(p):
-        tag, block = _PARITIES[p], (mass.even, mass.odd)[p]
-        if mass.banded:
-            # Deferred: only these blocks need SciPy, and importing it at module
-            # load would more than double the start-up of every other CLI call.
-            import scipy.linalg
-
-            banded_driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
-            result = _converged(banded_driver, block)
-        elif vectors:
-            result = sym_eig(block)
-        else:
-            result = _symmetric_eig(block, np.linalg.eigvalsh)
+        tag = _PARITIES[p]
+        try:
+            result = driver((mass.even, mass.odd)[p])
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            where = f"N={n_max}, 2a={order.two_alpha:g}"
+            raise RuntimeError(f"the {tag} block's eigensolve failed ({where}): {exc}") from exc
         mu, vecs = result if vectors else (result, None)
         _check_block_mu(mu, tag, order, n_max, lost)
         return tag, mu, vecs

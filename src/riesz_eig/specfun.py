@@ -210,15 +210,21 @@ def _image_prefactors(alpha: float, m_max: int) -> np.ndarray:
     singular basis function onto this factor times ``P_m^{alpha,alpha}``, up
     to a sign, so each energy inner product is this factor times a Jacobi
     product integral under the weight ``(1-x^2)^alpha``.  Built as
-    ``Gamma(2 alpha + 1) (2 alpha + 1)_m / (1)_m``; a table whose largest
-    factor passes ``_SPLIT_MAX`` is refused, before it is built, by a
-    ``ValueError`` naming ``2a`` and ``N = m_max``.
+    ``Gamma(2 alpha + 1) (2 alpha + 1)_m / (1)_m``.  A constant or a product
+    past the largest double, or a ratio table past ``_SPLIT_MAX``, is refused
+    before it is formed, by a ``ValueError`` naming ``2a`` and ``N = m_max``.
     """
     s = 2.0 * alpha
-    log_largest = math.lgamma(m_max + s + 1.0) - math.lgamma(m_max + 1.0)
-    if not log_largest < math.log(_SPLIT_MAX):
-        raise ValueError(
-            f"the derivative-image prefactor Gamma(N+2a+1)/N! = exp({log_largest:.1f}) exceeds "
-            f"{_SPLIT_MAX:.1e}, the most its compensated product holds (N={m_max}, 2a={s:g})"
-        )
-    return math.exp(math.lgamma(s + 1.0)) * _pochhammer_ratios((s, 1.0), (1.0, 0.0), m_max)
+    where = f"(N={m_max}, 2a={s:g})"
+    try:  # lgamma overflows only where exp has long overflowed
+        constant = math.exp(math.lgamma(s + 1.0))
+    except OverflowError:
+        raise ValueError(f"the derivative-image constant Gamma(2a+1) overflows {where}") from None
+    log_ratio = math.lgamma(m_max + s + 1.0) - math.lgamma(m_max + 1.0) - math.lgamma(s + 1.0)
+    if not log_ratio < math.log(_SPLIT_MAX):
+        raise ValueError(f"the derivative-image ratio (2a+1)_N/N! exceeds {_SPLIT_MAX:.1e}, "
+                         f"the most its compensated product holds {where}")
+    ratios = _pochhammer_ratios((s, 1.0), (1.0, 0.0), m_max)
+    if math.isinf(constant * float(ratios[-1])):  # the ratios rise with m
+        raise ValueError(f"the derivative-image prefactor Gamma(N+2a+1)/N! overflows {where}")
+    return constant * ratios

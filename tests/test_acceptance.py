@@ -204,6 +204,31 @@ def test_criterion_7_reliability_fraction():
     )
 
 
+@pytest.mark.parametrize("two_alpha", [1.2, 1.6, 1.9])
+def test_criterion_7_count_matches_the_operator(two_alpha):
+    # Kwasnicki's two-term law (n pi/2 - (2-2a) pi/8)^{2a} for the operator's
+    # own eigenvalues, 0 < 2a < 2; its gap to the spectrum falls like
+    # n^-(2+2a), far below the tolerance from n = 50 on
+    tol = 1.2e-4
+    sols = {n: solve(FractionalOrder(two_alpha), n) for n in (256, 512, 1024, 2048)}
+    counts = {}
+    for n_max in (256, 512, 1024):
+        lambdas = sols[n_max].lambdas
+        n = np.arange(1, lambdas.size + 1)
+        law = (n * math.pi / 2 - (2 - two_alpha) * math.pi / 8) ** two_alpha
+        off = np.abs(lambdas / law - 1.0)[49:] > tol
+        assert off.any()
+        self_count = reliable_eigenvalues(sols[n_max], sols[2 * n_max], tol)
+        counts[n_max] = (49 + int(np.argmax(off)), self_count)
+    ok = all(law_count == self_count for law_count, self_count in counts.values())
+    report(
+        f"criterion 7 against the operator, 2a={two_alpha}",
+        ok,
+        f"(count within {tol} of the two-term law from n = 50, count against 2N) "
+        f"at N=256,512,1024: {list(counts.values())}",
+    )
+
+
 @pytest.mark.parametrize("two_alpha", [1.3, 1.6])
 def test_criterion_8_convergence_monotone(two_alpha):
     order = FractionalOrder(two_alpha)

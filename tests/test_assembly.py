@@ -69,6 +69,18 @@ def test_mass_matrix_structure(two_alpha):
     assert np.linalg.eigvalsh(mass.odd).min() > 0
 
 
+@pytest.mark.parametrize("two_alpha, n_max", [
+    (0.37, 1024), (1.6, 1023), (2.0, 1022), (3.6, 511), (4.0, 3), (5.6, 64), (8.0, 2),
+])
+def test_dense_blocks_are_exactly_symmetric(two_alpha, n_max):
+    # eig hands a dense block to its driver with no symmetry check: the
+    # outer product, the Hankel view and the Toeplitz view are each symmetric
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    assert not mass.banded
+    for block in (mass.even, mass.odd):
+        assert np.array_equal(block, block.T)
+
+
 @pytest.mark.parametrize("two_alpha", [2.0, 4.0])
 def test_integer_alpha_bandedness(two_alpha):
     order = FractionalOrder(two_alpha)

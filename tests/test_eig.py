@@ -467,6 +467,52 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("module, driver, two_alpha, vectors", [
+    ("numpy", "eigvalsh", 1.6, False),
+    ("numpy", "eigh", 1.6, True),  # through sym_eig, whose RuntimeError is chained
+    ("scipy", "eigvals_banded", 4.0, False),
+    ("scipy", "eig_banded", 4.0, True),
+])
+def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, vectors):
+    import scipy.linalg
+
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    sol = solve(FractionalOrder(two_alpha), 8)
+    namespace = {"numpy": np.linalg, "scipy": scipy.linalg}[module]
+    monkeypatch.setattr(namespace, driver, not_converging)
+    with pytest.raises(RuntimeError) as exc:
+        sol.vectors if vectors else solve(FractionalOrder(two_alpha), 8)
+    assert f"the even block's eigensolve failed (N=8, 2a={two_alpha:g})" in str(exc.value)
+    cause = exc.value.__cause__
+    if driver == "eigh":  # sym_eig's own error sits between
+        assert str(cause).startswith("symmetric eigensolve failed to converge (dim 5,")
+        cause = cause.__cause__
+    assert isinstance(cause, np.linalg.LinAlgError)
+
+
+def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
+    # at N = 1024 the even block has 513 rows and the odd one 512; the odd
+    # block fails first, on the helper thread
+    def failing_eigvalsh(block):
+        if len(block) == 513:
+            time.sleep(0.2)
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({len(block)} rows)")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    _pin_blas(monkeypatch, True)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        solve(FractionalOrder(1.6), 1024)
+    assert str(exc.value) == (
+        "the even block's eigensolve failed (N=1024, 2a=1.6): "
+        "Eigenvalues did not converge (513 rows)"
+    )
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
 @pytest.mark.parametrize("two_alpha, n_max, pinned", [
     (1.6, 64, True),  # small dense blocks

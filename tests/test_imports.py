@@ -4,6 +4,11 @@ Blocks that ``assembly`` stores dense are solved with numpy's LAPACK; only
 blocks stored as bands load SciPy: integer ``alpha`` with an even block wider
 than tridiagonal (``2a >= 4`` from ``N = 4``), or ``2a = 2`` from ``N = 1023``.
 
+``concurrent.futures`` (the helper thread of the concurrent block solve) and
+``mpmath`` stay out of the import floor too: only large dense blocks with BLAS
+pinned to one thread load the first, and nothing in the package loads the
+second.
+
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
 
@@ -30,13 +35,14 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(riesz_eig.cli.main(argv))
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+deferred = [name for name in ("concurrent.futures", "mpmath") if name in sys.modules]
+print(json.dumps({"codes": codes, "scipy": scipy, "deferred": deferred}))
 """
 
 
-def _fresh_run(argvs):
+def _fresh_run(argvs, **env_vars):
     """Run ``riesz_eig.cli.main`` on each argv in a new interpreter; return its report."""
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(argvs)],
@@ -65,7 +71,7 @@ def test_public_surface_is_pinned():
 
 
 def test_import_loads_no_scipy():
-    assert _fresh_run([]) == {"codes": [], "scipy": []}
+    assert _fresh_run([]) == {"codes": [], "scipy": [], "deferred": []}
 
 
 def test_dense_and_small_tridiagonal_commands_load_no_scipy():
@@ -89,7 +95,7 @@ def test_dense_and_small_tridiagonal_commands_load_no_scipy():
         ["convergence", "--two-alpha", "2", "--n-list", "4,8", "--reference-n", "1022"],
         ["eig", "--two-alpha", "4", "--n", "3", "--vectors"],
     ]
-    assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": []}
+    assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}
 
 
 def test_scipy_paths_run_in_a_fresh_interpreter():
@@ -103,3 +109,10 @@ def test_scipy_paths_run_in_a_fresh_interpreter():
         report = _fresh_run([argv])
         assert report["codes"] == [0]
         assert "scipy.linalg" in report["scipy"]
+
+
+def test_concurrent_block_solve_loads_concurrent_futures():
+    # the one path that takes the helper thread: dense blocks of 512 odd rows
+    # or more with BLAS pinned to one thread
+    report = _fresh_run([["eig", "--two-alpha", "1.6", "--n", "1024"]], OPENBLAS_NUM_THREADS="1")
+    assert report == {"codes": [0], "scipy": [], "deferred": ["concurrent.futures"]}

@@ -186,14 +186,27 @@ def test_stiffness_check_at_cli_size(two_alpha):
     assert stiffness_check(FractionalOrder(two_alpha), 1024) <= 2.5e-12
 
 
-@pytest.mark.parametrize("two_alpha", [170.0, 200.0])
-def test_stiffness_check_names_prefactors_too_large(two_alpha):
-    # Gamma(N + 2a + 1)/N! passes what the compensated product holds: a named
-    # refusal, not an OverflowError, an inf or an overflow warning
+@pytest.mark.parametrize("two_alpha, n_max", [
+    pytest.param(170.0, 8, id="170.0"), pytest.param(200.0, 8, id="200.0"),
+    pytest.param(170.0, 1, id="170.0-1"), pytest.param(168.0, 3, id="168.0-3"),
+    pytest.param(171.7, 0, id="171.7-0"),
+])
+def test_stiffness_check_names_prefactors_too_large(two_alpha, n_max):
+    # Gamma(N + 2a + 1)/N!, or its constant Gamma(2a + 1), passes the largest
+    # double: a named refusal, not an OverflowError, an inf or an overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(f"(N=8, 2a={two_alpha:g})")):
-            stiffness_check(FractionalOrder(two_alpha), 8)
+        with pytest.raises(ValueError, match=re.escape(f"overflows (N={n_max}, 2a={two_alpha:g})")):
+            stiffness_check(FractionalOrder(two_alpha), n_max)
+
+
+@pytest.mark.parametrize("two_alpha, n_max", [(170.0, 0), (168.0, 0), (168.0, 1), (168.0, 2)])
+def test_stiffness_check_takes_every_prefactor_a_double_holds(two_alpha, n_max):
+    # Gamma(N + 2a + 1)/N! passes _SPLIT_MAX but is a double (Gamma(171) =
+    # 7.3e306); only the ratio table (2a+1)_N/N! has to stay below _SPLIT_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stiffness_check(FractionalOrder(two_alpha), n_max) <= 1e-13
 
 
 @pytest.mark.parametrize("two_alpha", [1.0, 1.6, 2.0, 2.6, 3.6, 5.6])

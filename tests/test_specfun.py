@@ -215,6 +215,35 @@ def test_image_prefactor_known_values():
     assert math.isclose(_image_prefactors(1.5, 4)[4], math.factorial(7) / math.factorial(4), rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("two_alpha, m_max", [(170.0, 0), (168.0, 2)])
+def test_image_prefactors_past_split_max_that_doubles_hold(two_alpha, m_max):
+    # the constant exp(lgamma(2a+1)) carries about eps * lgamma(2a+1), 706 eps
+    # at 2a = 170
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _image_prefactors(two_alpha / 2, m_max)
+    for m, value in enumerate(table):
+        expected = mp.gamma(mp.mpf(m) + two_alpha + 1) / mp.factorial(m)
+        assert abs(value / expected - 1) <= 2e-13
+
+
+@pytest.mark.parametrize("two_alpha, m_max, message", [
+    (170.0, 10**4, "ratio (2a+1)_N/N! exceeds 1.3e+300"),  # refused before it is built
+    (170.0, 1, "prefactor Gamma(N+2a+1)/N! overflows"),
+    (168.0, 3, "prefactor Gamma(N+2a+1)/N! overflows"),
+    (171.7, 0, "constant Gamma(2a+1) overflows"),
+    (1.7e308, 2, "constant Gamma(2a+1) overflows"),
+], ids=["ratio-170-10000", "product-170-1", "product-168-3", "constant-171.7-0",
+        "constant-1.7e308-2"])
+def test_image_prefactors_refused_by_name(two_alpha, m_max, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            _image_prefactors(two_alpha / 2, m_max)
+    assert message in str(exc.value)
+    assert str(exc.value).endswith(f"(N={m_max}, 2a={two_alpha:g})")
+
+
 # ------------------------------------------------------------ energy norms
 # basis_coeff(n) ** -2 is the squared energy norm |J_n|^2 of the unnormalized
 # degree-n basis function.
