@@ -3,10 +3,10 @@
 Every number is serialized with 17 significant digits so files round-trip
 exactly, and file output goes through a temp-file-plus-rename (a FIFO or
 device is written in place) so interrupted runs never leave truncated
-artifacts.  Identical invocations under one BLAS thread setting produce
-byte-identical files (LAPACK's results depend on its thread count).  Each
-``cmd_*`` yields its output line by line and ``_write`` streams the lines,
-so no table is held as one string.
+artifacts.  Identical invocations give byte-identical files under any BLAS
+thread setting: the solve pins OpenBLAS to one thread (on another BLAS the
+bytes follow its setting).  Each ``cmd_*`` yields its output line by line
+and ``_write`` streams the lines, so no table is held as one string.
 """
 
 from __future__ import annotations

@@ -12,10 +12,13 @@ caller reads them.
 
 from __future__ import annotations
 
+import contextlib
 import operator
-import os
+import threading
+from ctypes import CDLL, CFUNCTYPE, c_int
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -28,9 +31,6 @@ _SYMMETRY_RTOL = 1e-14
 _PARITIES = ("even", "odd")
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# The variables OpenBLAS takes its thread count from, in the order it reads
-# them: the first that holds a positive integer sets the count.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Fewest rows of the odd (smaller) block from which dense blocks are solved
 # concurrently when BLAS is pinned to one thread.  eigvalsh on the 2a = 1.6
 # blocks, serial/concurrent wall time over paired runs on a 2-core x86_64 VM,
@@ -38,6 +38,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 # rows and 1.79 at 1025 rows.  numpy's eigvalsh holds the GIL through LAPACK
 # on 500 rows or fewer, so smaller blocks cannot overlap at all.
 _CONCURRENT_MIN_ROWS = 512
+_PIN_LOCK = threading.Lock()
+_PINNED = {}  # numpy or scipy -> [solves inside its OpenBLAS pin, count before the first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +138,34 @@ def _check_block_mu(mu, tag, order, n_max, lost):
         )
 
 
-def _blas_single_threaded() -> bool:
-    """Whether the environment pins OpenBLAS to one thread (``_BLAS_THREAD_VARS``)."""
-    for name in _BLAS_THREAD_VARS:
-        try:
-            count = int(os.environ.get(name, ""))
-        except ValueError:  # unset or not an integer: OpenBLAS reads the next one
-            continue
-        if count > 0:
-            return count == 1
-    return False  # OpenBLAS runs a thread per core
+@cache
+def _openblas_threads(module):
+    """The ``(get, set)`` thread-count functions of the OpenBLAS in ``module``'s wheel, or None."""
+    suffix = "64_" if module is np else ""  # numpy's wheel holds the ILP64 build, SciPy's LP64
+    libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
+    for path in libs.glob(f"libscipy_openblas{suffix}-*.so"):
+        lib = CDLL(str(path))  # loaded by the module already: the same handle
+        get = CFUNCTYPE(c_int)((f"scipy_openblas_get_num_threads{suffix}", lib))
+        set_ = CFUNCTYPE(None, c_int)((f"scipy_openblas_set_num_threads{suffix}", lib))
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(module):
+    """Pin ``module``'s OpenBLAS to one thread, process-wide; yield whether it took hold."""
+    # with no hook there is nothing to set, and the pin never takes hold
+    get, set_ = _openblas_threads(module) or (lambda: 0, lambda count: None)
+    with _PIN_LOCK:
+        _PINNED.setdefault(module, [0, get()])[0] += 1
+        set_(1)
+    try:
+        yield get() == 1  # it stays at 1 until the last overlapping solve leaves
+    finally:
+        with _PIN_LOCK:
+            _PINNED[module][0] -= 1
+            if not _PINNED[module][0]:
+                set_(_PINNED.pop(module)[1])
 
 
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
@@ -170,16 +190,12 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     are accurate only while that is small.  Every spectrum passes
     ``_check_block_mu``.
 
-    Large dense blocks are solved concurrently when the environment pins
-    OpenBLAS to one thread (``_BLAS_THREAD_VARS``): a helper thread solves the
-    odd block while the calling thread solves the even one, and LAPACK
-    releases the GIL.  Unpinned, each solve already spreads over every core,
-    and two at once were slower, so the blocks are solved in turn; so are
-    banded blocks, whose solves are short.  Each block gets the same driver
-    on the same input either way, so the results are the same bits; when
-    both blocks fail, the even block's error is raised.  The assembled matrix
-    is released on return, so a caller that scatters the vectors never holds
-    it beside them.
+    The drivers run on OpenBLAS pinned to one thread (``_one_blas_thread``).
+    Where the pin holds, large dense blocks are solved concurrently, the odd
+    one on a helper thread (LAPACK releases the GIL); the rest in turn, and
+    no bit moves.  When both fail, the even block's error is raised.  The
+    assembled matrix is released on return, so a caller that scatters the
+    vectors never holds it beside them.
     """
     mass = assemble_mass(order, n_max)
     if mass.banded:
@@ -187,9 +203,9 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         # load would more than double the start-up of every other CLI call.
         import scipy.linalg
 
-        driver = scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
+        blas, driver = scipy, scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
     else:
-        driver = sym_eig if vectors else np.linalg.eigvalsh
+        blas, driver = np, sym_eig if vectors else np.linalg.eigvalsh
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
@@ -207,26 +223,29 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         return tag, mu, vecs
 
     odd_rows = (n_max + 1) // 2
-    if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and _blas_single_threaded():
-        from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
+    with _one_blas_thread(blas) as pinned:
+        if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and pinned:
+            from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
 
-        # leaving the block joins the helper; then an error of the even block wins
-        with ThreadPoolExecutor(1, thread_name_prefix="riesz-eig-odd-block") as pool:
-            odd = pool.submit(spectrum, 1)
-            even = spectrum(0)
-        return [even, odd.result()]
-    return [spectrum(p) for p in range(2 if odd_rows else 1)]
+            # leaving the block joins the helper; then an error of the even block wins
+            with ThreadPoolExecutor(1, thread_name_prefix="riesz-eig-odd-block") as pool:
+                odd = pool.submit(spectrum, 1)
+                even = spectrum(0)
+            return [even, odd.result()]
+        return [spectrum(p) for p in range(2 if odd_rows else 1)]
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
-    Each parity block of the mass matrix is solved for its eigenvalues
-    alone (``eigvals_banded`` on a block stored as a band, ``eigvalsh`` on a
-    dense one).  Each block's reciprocals ``1/mu``, reversed into ascending
-    order, are joined even block first, and one stable sort merges them: tied
-    eigenvalues keep even before odd, then their position in the block.  No
-    vector is computed here (see ``EigenSolution.vectors``).
+    Each parity block of the mass matrix is solved for its eigenvalues alone
+    (``eigvals_banded`` on a band, ``eigvalsh`` on a dense block) on OpenBLAS
+    pinned to one thread, so the bits do not depend on the thread setting
+    unless numpy or SciPy runs on another BLAS; other threads' BLAS calls run
+    on one thread meanwhile.  The blocks' reciprocals ``1/mu``, each reversed
+    into ascending order, are joined even block first, and one stable sort
+    merges them: tied eigenvalues keep even before odd, then their position
+    in the block.  No vector is computed here (see ``EigenSolution.vectors``).
     """
     spectra = _block_spectra(order, n_max, vectors=False)
     lambdas = np.concatenate([1.0 / mu[::-1] for _, mu, _ in spectra])
@@ -257,9 +276,10 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     rows = _jacobi_all(alpha, sol.n_max, x)
     weight = _boundary_weight(alpha, x)
     samples = np.empty((len(indices), x.size))
-    for out, index in zip(samples, indices):
-        # one product per index: a stacked product would round differently
-        out[:] = weight * ((vectors[index - 1] * scale) @ rows)
+    with _one_blas_thread(np):  # the products round as the BLAS thread count splits them
+        for out, index in zip(samples, indices):
+            # one product per index: a stacked product would round differently
+            out[:] = weight * ((vectors[index - 1] * scale) @ rows)
     # normalize the signed zeros the endpoint weight can produce
     samples[:, np.abs(x) == 1.0] = 0.0
     return samples

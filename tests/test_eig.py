@@ -1,5 +1,9 @@
+import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -24,6 +28,20 @@ from riesz_eig.specfun import (
 )
 
 TABLE_16 = [1.7282959570964, 5.75634828003]  # leading pair at 2 alpha = 1.6, N = 64
+
+needs_openblas = pytest.mark.skipif(
+    riesz_eig.eig._openblas_threads(np) is None,
+    reason="numpy's BLAS has no thread-count hook, so the blocks are solved in turn",
+)
+
+
+@contextlib.contextmanager
+def _solver_threads():
+    """Hold the BLAS thread count the solve's drivers run at, for references computed beside it."""
+    import scipy.linalg
+
+    with riesz_eig.eig._one_blas_thread(np), riesz_eig.eig._one_blas_thread(scipy):
+        yield
 
 
 def test_sym_eig_two_by_two():
@@ -115,22 +133,23 @@ def _reference_merge(order, n_max, banded=False):
     ``eigvals_banded`` and ``eig_banded`` on the bands that ``_band_block``
     builds, whatever the stored form.
     """
+    import scipy.linalg
+
     mass = assemble_mass(order, n_max)
     merged = []
     for rank, tag in enumerate(("even", "odd")):
         indices = np.arange(rank, n_max + 1, 2)
         if indices.size == 0:
             continue
-        if banded:
-            import scipy.linalg
-
-            band = _band_block(_entry_tables(order.alpha, n_max), int(order.alpha), indices)
-            values = scipy.linalg.eigvals_banded(band)
-            mu, vecs = scipy.linalg.eig_banded(band)
-        else:
-            block = mass.entries[np.ix_(indices, indices)]
-            values = np.linalg.eigvalsh(block)
-            mu, vecs = np.linalg.eigh(block)
+        with _solver_threads():
+            if banded:
+                band = _band_block(_entry_tables(order.alpha, n_max), int(order.alpha), indices)
+                values = scipy.linalg.eigvals_banded(band)
+                mu, vecs = scipy.linalg.eig_banded(band)
+            else:
+                block = mass.entries[np.ix_(indices, indices)]
+                values = np.linalg.eigvalsh(block)
+                mu, vecs = np.linalg.eigh(block)
         for pos, col in enumerate(reversed(range(mu.size))):
             full = np.zeros(n_max + 1)
             full[indices] = vecs[:, col] / math.sqrt(mu[col])
@@ -183,7 +202,8 @@ def test_vectors_sign_per_block_matches_full_rows(two_alpha, n_max):
 def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
     blocks = (mass.entries[p::2, p::2] for p in (0, 1))
-    expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
+    with _solver_threads():
+        expected = np.sort(np.concatenate([1.0 / np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_array_equal(solve(FractionalOrder(two_alpha), n_max).lambdas, expected)
 
 
@@ -381,37 +401,41 @@ def test_dense_vectors_go_through_sym_eig(monkeypatch):
     assert dims == [5, 4, 1, 5, 4]
 
 
-def _pin_blas(monkeypatch, pinned):
-    """Make the environment read as BLAS pinned to one thread, or as unpinned."""
-    for name in riesz_eig.eig._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    if pinned:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+def _no_blas_hook(monkeypatch):
+    """Make the solve find no OpenBLAS thread-count hook, so that it solves the blocks in turn."""
+    monkeypatch.setattr(riesz_eig.eig, "_openblas_threads", lambda module: None)
 
 
-@pytest.mark.parametrize("env, pinned", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
-    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, False),
-])
-def test_blas_thread_variables_read_in_openblas_order(monkeypatch, env, pinned):
-    _pin_blas(monkeypatch, False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert riesz_eig.eig._blas_single_threaded() is pinned
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's and SciPy's OpenBLAS at two threads for the test, and at their own counts after it.
+
+    Yields the ``(get, set)`` hooks, numpy's first.  At two threads a solve
+    that left its pin early, or never set it, shows as a count of 2.
+    """
+    import scipy.linalg
+
+    hooks = [riesz_eig.eig._openblas_threads(module) for module in (np, scipy)]
+    if None in hooks:
+        pytest.skip("numpy's or SciPy's BLAS has no thread-count hook")
+    before = [get() for get, _ in hooks]
+    for _, set_ in hooks:
+        set_(2)
+    if [get() for get, _ in hooks] != [2, 2]:
+        pytest.skip("OpenBLAS does not take a count of two threads here")
+    yield hooks
+    for (_, set_), count in zip(hooks, before):
+        set_(count)
 
 
-@pytest.mark.parametrize("two_alpha, n_max, pinned, concurrent", [
-    (1.6, 1024, True, True),
+@pytest.mark.parametrize("two_alpha, n_max, hooked, concurrent", [
+    pytest.param(1.6, 1024, True, True, marks=needs_openblas),
     (1.6, 1024, False, False),
     (1.6, 1022, True, False),  # an odd block of 511 rows, below the cutoff
     (2.0, 1024, True, False),  # banded blocks stay serial
 ])
 def test_blocks_run_concurrently_only_when_pinned_large_and_dense(
-    monkeypatch, two_alpha, n_max, pinned, concurrent
+    monkeypatch, two_alpha, n_max, hooked, concurrent
 ):
     import scipy.linalg
 
@@ -425,18 +449,22 @@ def test_blocks_run_concurrently_only_when_pinned_large_and_dense(
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", recording(scipy.linalg.eigvals_banded))
-    _pin_blas(monkeypatch, pinned)
+    if not hooked:
+        _no_blas_hook(monkeypatch)
     solve(FractionalOrder(two_alpha), n_max)
     assert sorted(helper_calls) == ([False, True] if concurrent else [False, False])
 
 
+@needs_openblas
 @pytest.mark.parametrize("two_alpha", [1.6, 3.6])
 def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
+    # both schedules at one BLAS thread: the serial solve finds no hook inside
+    # a pin held around it
     order = FractionalOrder(two_alpha)
-    _pin_blas(monkeypatch, False)
-    serial = solve(order, 1024)
-    serial_vectors = serial.vectors
-    _pin_blas(monkeypatch, True)
+    with riesz_eig.eig._one_blas_thread(np), monkeypatch.context() as patch:
+        _no_blas_hook(patch)
+        serial = solve(order, 1024)
+        serial_vectors = serial.vectors
     concurrent = solve(order, 1024)
     np.testing.assert_array_equal(concurrent.lambdas, serial.lambdas)
     assert concurrent.parities == serial.parities
@@ -444,6 +472,111 @@ def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
     np.testing.assert_array_equal(np.signbit(concurrent.vectors), np.signbit(serial_vectors))
 
 
+def test_both_blocks_see_one_blas_thread(monkeypatch, blas_at_two_threads):
+    get = blas_at_two_threads[0][0]
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(block):
+        seen.append((threading.current_thread() is threading.main_thread(), get()))
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    solve(FractionalOrder(1.6), 1024)
+    assert sorted(seen) == [(False, 1), (True, 1)]  # the odd block on the helper thread
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("module, driver, two_alpha, n_max", [
+    ("numpy", "eigvalsh", 1.6, 1024),  # dense blocks, solved concurrently
+    ("numpy", "eigvalsh", 1.6, 64),
+    ("scipy", "eigvals_banded", 4.0, 64),
+])
+def test_solve_restores_the_blas_thread_count(
+    monkeypatch, blas_at_two_threads, module, driver, two_alpha, n_max, fails
+):
+    import scipy.linalg
+
+    if fails:
+        def not_converging(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr({"numpy": np.linalg, "scipy": scipy.linalg}[module], driver, not_converging)
+    with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+        solve(FractionalOrder(two_alpha), n_max)
+    assert [get() for get, _ in blas_at_two_threads] == [2, 2]
+
+
+def test_overlapping_solves_share_one_pin_and_restore_it(monkeypatch, blas_at_two_threads):
+    # more caller threads than cores, switching often: a solve that restored
+    # the count while another was inside would show as 2 under a driver
+    get = blas_at_two_threads[0][0]
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(block):
+        seen.append(get())
+        values = eigvalsh(block)
+        seen.append(get())
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    sizes = [1024, 1023, 512, 64, 8, 1]
+    done = []
+    callers = [
+        threading.Thread(target=lambda n=n: done.append(solve(FractionalOrder(1.6), n).n_max))
+        for n in sizes
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(done) == sorted(sizes)
+    assert seen == [1] * (4 * len(sizes))
+    assert get() == 2
+
+
+_DIGESTS = """
+import hashlib, json
+import numpy as np
+from riesz_eig.eig import eval_eigenfunction, solve
+from riesz_eig.specfun import FractionalOrder
+cases = [("lambdas", 1.6, 1024), ("lambdas", 3.6, 2048), ("vectors", 2.0, 1024),
+         ("vectors", 4.0, 1024), ("vectors", 1.6, 1022)]
+arrays = [getattr(solve(FractionalOrder(two_alpha), n), field) for field, two_alpha, n in cases]
+arrays.append(eval_eigenfunction(solve(FractionalOrder(2.0), 256), [4, 26, 48, 53, 136],
+                                 np.linspace(-1.0, 1.0, 4097)))
+print(json.dumps([hashlib.sha256(array).hexdigest() for array in arrays]))
+"""
+
+
+@needs_openblas
+def test_bits_do_not_depend_on_the_blas_thread_setting():
+    # fresh processes with OpenBLAS's variable unset, at 1 and at 2 threads:
+    # the drivers and the sampling products run pinned to one thread in each,
+    # so the bytes agree, sign bits of the vectors included
+    src = str(Path(riesz_eig.__file__).resolve().parents[1])
+    digests = []
+    for setting in (None, "1", "2"):
+        env = {name: value for name, value in os.environ.items()
+               if name not in {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", _DIGESTS], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1] == digests[2]
+
+
+@needs_openblas
 @pytest.mark.parametrize("failing, named", [(("even", "odd"), "even"), (("odd",), "odd")])
 def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failing, named):
     # at N = 1024 the even block has 513 rows and the odd one 512
@@ -459,7 +592,6 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
         return values
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_losing_small_end)
-    _pin_blas(monkeypatch, True)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(1.6), 1024)
@@ -492,6 +624,7 @@ def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, 
     assert isinstance(cause, np.linalg.LinAlgError)
 
 
+@needs_openblas
 def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
     # at N = 1024 the even block has 513 rows and the odd one 512; the odd
     # block fails first, on the helper thread
@@ -501,7 +634,6 @@ def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({len(block)} rows)")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
-    _pin_blas(monkeypatch, True)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(1.6), 1024)
@@ -514,14 +646,15 @@ def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
 
 
 @pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
-@pytest.mark.parametrize("two_alpha, n_max, pinned", [
-    (1.6, 64, True),  # small dense blocks
-    (4.0, 64, True),  # a banded driver on the stored band
-    (1.6, 1024, True),  # large dense blocks, solved concurrently
-    (1.6, 1024, False),  # large dense blocks, solved in turn
-], ids=["dense", "banded", "concurrent", "serial"])
+@pytest.mark.parametrize("two_alpha, n_max, hooked", [
+    pytest.param(1.6, 64, True, id="dense"),  # small dense blocks
+    pytest.param(4.0, 64, True, id="banded"),  # a banded driver on the stored band
+    # large dense blocks, solved concurrently
+    pytest.param(1.6, 1024, True, id="concurrent", marks=needs_openblas),
+    pytest.param(1.6, 1024, False, id="serial"),  # large dense blocks, solved in turn
+])
 def test_block_spectra_releases_the_mass_matrix_before_it_returns(
-    monkeypatch, two_alpha, n_max, pinned, vectors
+    monkeypatch, two_alpha, n_max, hooked, vectors
 ):
     refs = []
 
@@ -531,7 +664,8 @@ def test_block_spectra_releases_the_mass_matrix_before_it_returns(
         return mass
 
     monkeypatch.setattr(riesz_eig.eig, "assemble_mass", recording_assemble_mass)
-    _pin_blas(monkeypatch, pinned)
+    if not hooked:
+        _no_blas_hook(monkeypatch)
     spectra = riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
     assert len(refs) == 1 and refs[0]() is None
     assert [tag for tag, *_ in spectra] == ["even", "odd"]

@@ -5,9 +5,9 @@ blocks stored as bands load SciPy: integer ``alpha`` with an even block wider
 than tridiagonal (``2a >= 4`` from ``N = 4``), or ``2a = 2`` from ``N = 1023``.
 
 ``concurrent.futures`` (the helper thread of the concurrent block solve) and
-``mpmath`` stay out of the import floor too: only large dense blocks with BLAS
-pinned to one thread load the first, and nothing in the package loads the
-second.
+``mpmath`` stay out of the import floor too: only large dense blocks whose
+OpenBLAS the solve pins to one thread load the first, whatever the thread
+setting of the environment, and nothing in the package loads the second.
 
 Each case runs in a fresh interpreter: this process already holds SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -23,13 +23,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import riesz_eig
+import riesz_eig.eig
 
 _SRC = str(Path(riesz_eig.__file__).resolve().parents[1])
 
 _PROBE = """
 import contextlib, io, json, sys
 import riesz_eig.cli
+exec(sys.argv[2])
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -40,12 +45,16 @@ print(json.dumps({"codes": codes, "scipy": scipy, "deferred": deferred}))
 """
 
 
-def _fresh_run(argvs, **env_vars):
-    """Run ``riesz_eig.cli.main`` on each argv in a new interpreter; return its report."""
-    env = dict(os.environ, **env_vars)
+def _fresh_run(argvs, setup="", **env_vars):
+    """Run ``riesz_eig.cli.main`` on each argv in a new interpreter; return its report.
+
+    ``setup`` runs after the import, before the first argv.  A variable
+    given as None is unset.
+    """
+    env = {name: value for name, value in dict(os.environ, **env_vars).items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), setup],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -111,8 +120,22 @@ def test_scipy_paths_run_in_a_fresh_interpreter():
         assert "scipy.linalg" in report["scipy"]
 
 
+@pytest.mark.skipif(
+    riesz_eig.eig._openblas_threads(np) is None,
+    reason="numpy's BLAS has no thread-count hook, so the blocks are solved in turn",
+)
 def test_concurrent_block_solve_loads_concurrent_futures():
     # the one path that takes the helper thread: dense blocks of 512 odd rows
-    # or more with BLAS pinned to one thread
-    report = _fresh_run([["eig", "--two-alpha", "1.6", "--n", "1024"]], OPENBLAS_NUM_THREADS="1")
+    # or more, which the solve pins to one BLAS thread whatever the environment
+    argvs = [["eig", "--two-alpha", "1.6", "--n", "1024"]]
+    unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    report = _fresh_run(argvs, **unset)
     assert report == {"codes": [0], "scipy": [], "deferred": ["concurrent.futures"]}
+
+
+def test_no_blas_hook_solves_in_turn_without_concurrent_futures():
+    # where no OpenBLAS hook is found (numpy on another BLAS), nothing pins the
+    # count, and the same large dense blocks are solved one after the other
+    setup = "import riesz_eig.eig; riesz_eig.eig._openblas_threads = lambda module: None"
+    report = _fresh_run([["eig", "--two-alpha", "1.6", "--n", "1024"]], setup)
+    assert report == {"codes": [0], "scipy": [], "deferred": []}

@@ -7,7 +7,9 @@ Usage::
 runs ``python -m riesz_eig.cli`` from ``CHECKOUT/src`` (default: this
 repository) under ``OPENBLAS_NUM_THREADS=1``, once per argv of ``argvs()``,
 one process at a time, and prints one line per argv: the exit code, the two
-digests and the argv.  A change meant to keep every CLI byte is checked
+digests and the argv.  The package pins its OpenBLAS to one thread itself,
+so the variable matters only for checkouts from before that pin, whose bytes
+follow the BLAS thread setting.  A change meant to keep every CLI byte is checked
 against its parent commit with::
 
     git archive PARENT | tar -x -C /tmp/parent
