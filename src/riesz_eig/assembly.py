@@ -14,8 +14,8 @@ difference.  ``Q`` and ``U`` are Pochhammer ratios, compensated running
 products from ``specfun``, so a block needs no special function beyond the
 three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
-each block is banded.  ``_is_banded`` decides whether the blocks are stored
-as bands or dense, and so which LAPACK drivers ``eig`` runs on them.
+each block is banded, and it is stored as a band at every ``N``; any other
+order stores the dense blocks.  ``eig`` picks its LAPACK drivers from that.
 ``assemble_mass`` builds the tables once for both blocks.  It and
 ``mass_entry`` refuse, by name, an order whose largest entry ``M_00`` lies
 below the smallest normal double, so that every entry underflows.
@@ -36,25 +36,6 @@ from .specfun import FractionalOrder, _pochhammer_ratios
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
 
 _TINY = np.finfo(float).tiny
-# Fewest odd-block rows from which a tridiagonal block (2a = 2) is stored as a
-# band for SciPy's banded drivers rather than dense for numpy's.  Median ms per
-# block, 2-core x86_64 VM, BLAS at one thread, SciPy already loaded, the dense
-# side including forming the block:
-#     rows   values dense / banded   vectors dense / banded
-#      257       4.9 / 1.2               9.2 / 4.0
-#      511      21.6 / 4.6              44.7 / 18.9
-# Below this size a process that loads no SciPy saves its import, about 0.2 s,
-# more than the dense drivers cost.
-_TRIDIAGONAL_BAND_MIN_ROWS = 512
-
-
-def _is_banded(order: FractionalOrder, n_max: int) -> bool:
-    # integer alpha, and an even block wider than tridiagonal (dense LAPACK would
-    # change its bits) or an odd block of _TRIDIAGONAL_BAND_MIN_ROWS rows or more
-    alpha = order.alpha
-    return alpha.is_integer() and (
-        (alpha >= 2 and n_max >= 4) or (n_max + 1) // 2 >= _TRIDIAGONAL_BAND_MIN_ROWS
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +43,7 @@ class MassMatrix:
     """Symmetric positive-definite mass matrix, stored as its two parity blocks.
 
     Block ``p`` (0 ``even``, 1 ``odd``) holds the degrees ``p::2``, so it is
-    ``entries[p::2, p::2]``.  Where ``_is_banded`` holds (``banded``), each
+    ``entries[p::2, p::2]``.  For integer ``alpha`` (``banded``), each
     block has ``w = min(alpha, size - 1)`` superdiagonals, stored in LAPACK
     upper-band storage, ``band[w + r - c, c] = block[r, c]``.  Otherwise the
     fields hold the dense blocks.  ``entries`` is the one dense view of the
@@ -77,17 +58,20 @@ class MassMatrix:
 
     @property
     def banded(self) -> bool:
-        return _is_banded(self.order, self.n_max)
+        return self.order.alpha.is_integer()
+
+    def _dense_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks as dense arrays: the stored ones, or evaluated from bands."""
+        if not self.banded:
+            return self.even, self.odd
+        tables = _entry_tables(self.order.alpha, self.n_max)
+        return tuple(_dense_block(tables, np.arange(p, self.n_max + 1, 2)) for p in (0, 1))
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The full ``(n_max+1)^2`` matrix, composed from the blocks (read-only)."""
-        blocks = (self.even, self.odd)
-        if self.banded:
-            tables = _entry_tables(self.order.alpha, self.n_max)
-            blocks = [_dense_block(tables, np.arange(p, self.n_max + 1, 2)) for p in (0, 1)]
         full = np.zeros((self.n_max + 1, self.n_max + 1))
-        for p, block in enumerate(blocks):
+        for p, block in enumerate(self._dense_blocks()):
             full[p::2, p::2] = block
         full.setflags(write=False)
         return full
@@ -192,8 +176,8 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
 
     A dense block is the elementwise product of the per-index outer product,
     a Hankel view of ``Q`` and a Toeplitz view of ``U``, built in O(N^2)
-    flops with no per-entry special function.  Where ``_is_banded`` holds,
-    only the band is evaluated and stored, O(N alpha) entries.  The odd-sum
+    flops with no per-entry special function.  For integer ``alpha`` only
+    the band is evaluated and stored, O(N alpha) entries.  The odd-sum
     entries between the blocks are exact zeros and are not stored.  An order
     whose largest entry ``M_00`` lies below the smallest normal double raises
     a ``ValueError`` naming ``2a`` and ``N``: every entry underflows.
@@ -202,7 +186,7 @@ def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
     tables = _entry_tables(order.alpha, n_max)
-    banded = _is_banded(order, n_max)
+    banded = order.alpha.is_integer()
     even, odd = (
         _band_block(tables, int(order.alpha), indices) if banded else _dense_block(tables, indices)
         for indices in (np.arange(p, n_max + 1, 2) for p in (0, 1))

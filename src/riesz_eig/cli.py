@@ -3,10 +3,11 @@
 Every number is serialized with 17 significant digits so files round-trip
 exactly, and file output goes through a temp-file-plus-rename (a FIFO or
 device is written in place) so interrupted runs never leave truncated
-artifacts.  Identical invocations give byte-identical files under any BLAS
-thread setting: the solve pins OpenBLAS to one thread (on another BLAS the
-bytes follow its setting).  Each ``cmd_*`` yields its output line by line
-and ``_write`` streams the lines, so no table is held as one string.
+artifacts.  Identical invocations give byte-identical output under any BLAS
+thread setting: the solve, the eigenfunction sampling and the quadrature
+cross-checks pin numpy's OpenBLAS to one thread (where numpy runs on another
+BLAS the bytes follow its setting).  Each ``cmd_*`` yields its output line
+by line and ``_write`` streams the lines, so no table is held as one string.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently (``_block_spectra``, which picks the driver and the schedule)
-and merged.  The spectral studies need only the eigenvalues, so ``solve``
-computes values alone; the coefficient vectors are computed the first time a
-caller reads them.
+and merged: dense blocks with numpy's LAPACK drivers, bands with LAPACK
+``sbevd`` in the OpenBLAS of numpy's own wheel, called through ``ctypes``,
+so numpy is the one library the package loads.  The spectral studies need
+only the eigenvalues, so ``solve`` computes values alone; the coefficient
+vectors are computed the first time a caller reads them.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import contextlib
 import operator
 import threading
-from ctypes import CDLL, CFUNCTYPE, c_int
+from ctypes import CDLL, CFUNCTYPE, c_char, c_int, c_int64, c_void_p
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,10 @@ _TINY = np.finfo(float).tiny
 # on 500 rows or fewer, so smaller blocks cannot overlap at all.
 _CONCURRENT_MIN_ROWS = 512
 _PIN_LOCK = threading.Lock()
-_PINNED = {}  # numpy or scipy -> [solves inside its OpenBLAS pin, count before the first]
+_PINNED = [0, 0]  # [solves inside the OpenBLAS pin, the thread count before the first]
+# LAPACKE's codes for column-major storage and for a workspace it could not allocate
+_COL_MAJOR = 102
+_WORKSPACE_ERRORS = (-1010, -1011)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,34 +144,82 @@ def _check_block_mu(mu, tag, order, n_max, lost):
         )
 
 
+class _OpenBLAS(NamedTuple):
+    """The functions the solve calls in the OpenBLAS of numpy's wheel."""
+
+    get_threads: object
+    set_threads: object
+    sbevd: object  # LAPACKE_dsbevd: (layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz) -> info
+
+
 @cache
-def _openblas_threads(module):
-    """The ``(get, set)`` thread-count functions of the OpenBLAS in ``module``'s wheel, or None."""
-    suffix = "64_" if module is np else ""  # numpy's wheel holds the ILP64 build, SciPy's LP64
-    libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
-    for path in libs.glob(f"libscipy_openblas{suffix}-*.so"):
-        lib = CDLL(str(path))  # loaded by the module already: the same handle
-        get = CFUNCTYPE(c_int)((f"scipy_openblas_get_num_threads{suffix}", lib))
-        set_ = CFUNCTYPE(None, c_int)((f"scipy_openblas_set_num_threads{suffix}", lib))
-        return get, set_
+def _openblas():
+    """The OpenBLAS that numpy's wheel ships in ``numpy.libs``, or None where there is none.
+
+    numpy's Linux wheels hold the ILP64 build of ``scipy-openblas``: every
+    symbol ends in ``64_`` and every LAPACK integer is 64 bits wide.  Where
+    there is none (numpy on MKL, Accelerate or a system BLAS),
+    ``_block_spectra`` sends every block to numpy's dense drivers and
+    ``_one_blas_thread`` sets nothing.
+    """
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_-*.so"):
+        lib = CDLL(str(path))  # loaded by numpy already: the same handle
+        return _OpenBLAS(
+            CFUNCTYPE(c_int)(("scipy_openblas_get_num_threads64_", lib)),
+            CFUNCTYPE(None, c_int)(("scipy_openblas_set_num_threads64_", lib)),
+            CFUNCTYPE(c_int64, c_int, c_char, c_char, c_int64, c_int64, c_void_p, c_int64,
+                      c_void_p, c_void_p, c_int64)(("scipy_LAPACKE_dsbevd64_", lib)),
+        )
     return None
 
 
 @contextlib.contextmanager
-def _one_blas_thread(module):
-    """Pin ``module``'s OpenBLAS to one thread, process-wide; yield whether it took hold."""
-    # with no hook there is nothing to set, and the pin never takes hold
-    get, set_ = _openblas_threads(module) or (lambda: 0, lambda count: None)
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, process-wide; yield whether it took hold."""
+    # with no library there is nothing to set, and the pin never takes hold
+    get, set_, _ = _openblas() or (lambda: 0, lambda count: None, None)
     with _PIN_LOCK:
-        _PINNED.setdefault(module, [0, get()])[0] += 1
+        if not _PINNED[0]:
+            _PINNED[1] = get()
+        _PINNED[0] += 1
         set_(1)
     try:
         yield get() == 1  # it stays at 1 until the last overlapping solve leaves
     finally:
         with _PIN_LOCK:
-            _PINNED[module][0] -= 1
-            if not _PINNED[module][0]:
-                set_(_PINNED.pop(module)[1])
+            _PINNED[0] -= 1
+            if not _PINNED[0]:
+                set_(_PINNED[1])
+
+
+def _sbevd(band: np.ndarray, vectors: bool):
+    """LAPACK ``sbevd`` on an upper-band block: ascending values, and the vectors as columns.
+
+    ``band`` is in the upper-band storage of ``assembly``; it is copied,
+    since ``sbevd`` overwrites it.  Returns the values alone unless
+    ``vectors`` is true.  A failure to converge raises
+    ``numpy.linalg.LinAlgError``, and a workspace that LAPACKE could not
+    allocate ``MemoryError``.
+    """
+    kd, n = band.shape[0] - 1, band.shape[1]
+    ab = np.array(band, dtype=float, order="F")
+    w = np.empty(n)
+    z = np.empty((n, n) if vectors else 1, order="F")
+    info = _openblas().sbevd(
+        _COL_MAJOR, b"V" if vectors else b"N", b"U", n, kd, ab.ctypes.data, kd + 1,
+        w.ctypes.data, z.ctypes.data, n if vectors else 1,
+    )
+    if info in _WORKSPACE_ERRORS:
+        raise MemoryError(f"sbevd could not allocate its workspace for a band of {n} rows")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"sbevd did not converge: {info} off-diagonal elements of the tridiagonal form "
+            f"stayed nonzero"
+        )
+    if info:
+        raise np.linalg.LinAlgError(f"sbevd rejected its argument {-info}")
+    return (w, z) if vectors else w
 
 
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
@@ -175,20 +229,22 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     the odd one unless it is empty (``N = 0``).  ``mu`` is the block's
     ascending spectrum and ``vecs`` its orthonormal eigenvectors as columns,
     or ``None`` unless ``vectors`` is true.  One driver, picked from the
-    stored form and the request, solves every block; a failure raises one
-    ``RuntimeError`` naming the block, ``N`` and ``2a``.  Bands go to LAPACK
-    ``sbevd`` via ``scipy.linalg.eigvals_banded`` or ``eig_banded`` (the only
-    SciPy import), exactly symmetric dense blocks to ``numpy.linalg.eigvalsh``
-    or to ``sym_eig``, looked up per call for wrappers.  On a tridiagonal block
-    the reduction ``sytrd`` of the dense drivers is the identity, so they
-    give the banded drivers' values bit for bit and their vectors up to sign.
-    ``eigvalsh`` is ``syevd`` without vectors, whose tridiagonal stage is the
-    root-free QR iteration ``sterf``.  On the graded mass blocks it keeps more
-    of the small end than the full decomposition does, but no driver does
-    better than the Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the
-    condition number of the diagonally scaled block): the small eigenvalues
-    are accurate only while that is small.  Every spectrum passes
-    ``_check_block_mu``.
+    stored form, the library at hand and the request, solves every block; a
+    failure raises one ``RuntimeError`` naming the block, ``N`` and ``2a``.
+    Bands go to LAPACK ``sbevd`` in numpy's own OpenBLAS (``_sbevd``), with
+    or without vectors, and never form a dense block.  Dense blocks go to
+    ``numpy.linalg.eigvalsh`` or to ``sym_eig``, looked up per call for
+    wrappers; so do bands where ``_openblas`` finds no library, as dense
+    blocks evaluated from the same tables.  On a tridiagonal block the
+    reduction ``sytrd`` of the dense drivers is the identity, so they give
+    ``sbevd``'s values bit for bit and its vectors up to sign.  ``eigvalsh``
+    is ``syevd`` without vectors, whose tridiagonal stage is the root-free
+    QR iteration ``sterf``, as in ``sbevd`` without vectors.  On the graded
+    mass blocks it keeps more of the small end than the full decomposition
+    does, but no driver does better than the Demmel-Veselic level
+    ``eps * kappa_s`` (``kappa_s`` the condition number of the diagonally
+    scaled block): the small eigenvalues are accurate only while that is
+    small.  Every spectrum passes ``_check_block_mu``.
 
     The drivers run on OpenBLAS pinned to one thread (``_one_blas_thread``).
     Where the pin holds, large dense blocks are solved concurrently, the odd
@@ -198,14 +254,11 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     vectors never holds it beside them.
     """
     mass = assemble_mass(order, n_max)
-    if mass.banded:
-        # Deferred: only these blocks need SciPy, and importing it at module
-        # load would more than double the start-up of every other CLI call.
-        import scipy.linalg
-
-        blas, driver = scipy, scipy.linalg.eig_banded if vectors else scipy.linalg.eigvals_banded
+    banded = mass.banded and _openblas() is not None
+    if banded:
+        blocks, driver = (mass.even, mass.odd), partial(_sbevd, vectors=vectors)
     else:
-        blas, driver = np, sym_eig if vectors else np.linalg.eigvalsh
+        blocks, driver = mass._dense_blocks(), sym_eig if vectors else np.linalg.eigvalsh
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
@@ -214,7 +267,7 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     def spectrum(p):
         tag = _PARITIES[p]
         try:
-            result = driver((mass.even, mass.odd)[p])
+            result = driver(blocks[p])
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             where = f"N={n_max}, 2a={order.two_alpha:g}"
             raise RuntimeError(f"the {tag} block's eigensolve failed ({where}): {exc}") from exc
@@ -223,8 +276,8 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         return tag, mu, vecs
 
     odd_rows = (n_max + 1) // 2
-    with _one_blas_thread(blas) as pinned:
-        if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and pinned:
+    with _one_blas_thread() as pinned:
+        if odd_rows >= _CONCURRENT_MIN_ROWS and not banded and pinned:
             from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
 
             # leaving the block joins the helper; then an error of the even block wins
@@ -239,10 +292,10 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
     Each parity block of the mass matrix is solved for its eigenvalues alone
-    (``eigvals_banded`` on a band, ``eigvalsh`` on a dense block) on OpenBLAS
-    pinned to one thread, so the bits do not depend on the thread setting
-    unless numpy or SciPy runs on another BLAS; other threads' BLAS calls run
-    on one thread meanwhile.  The blocks' reciprocals ``1/mu``, each reversed
+    (``sbevd`` on a band, ``eigvalsh`` on a dense block) on OpenBLAS pinned
+    to one thread, so the bits do not depend on the thread setting unless
+    numpy runs on another BLAS; other threads' BLAS calls run on one thread
+    meanwhile.  The blocks' reciprocals ``1/mu``, each reversed
     into ascending order, are joined even block first, and one stable sort
     merges them: tied eigenvalues keep even before odd, then their position
     in the block.  No vector is computed here (see ``EigenSolution.vectors``).
@@ -276,7 +329,7 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     rows = _jacobi_all(alpha, sol.n_max, x)
     weight = _boundary_weight(alpha, x)
     samples = np.empty((len(indices), x.size))
-    with _one_blas_thread(np):  # the products round as the BLAS thread count splits them
+    with _one_blas_thread():  # the products round as the BLAS thread count splits them
         for out, index in zip(samples, indices):
             # one product per index: a stacked product would round differently
             out[:] = weight * ((vectors[index - 1] * scale) @ rows)

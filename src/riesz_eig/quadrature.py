@@ -14,7 +14,9 @@ exact for its pair.  A rule is the pair of arrays ``(nodes, weights)``, and
 a weighted integral is ``np.dot(weights, values)``.  The recurrence matrix
 goes to numpy's ``eigh`` as one dense array: LAPACK's tridiagonal reduction
 leaves it as it is, so the nodes and weights are those of a tridiagonal
-eigensolver, with O(m^3) work.
+eigensolver, with O(m^3) work.  That eigensolve and the Gram products run on
+numpy's OpenBLAS pinned to one thread, as the solve's drivers do, so the
+cross-checks give the same bits under any BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import operator
 
 import numpy as np
 
+from .eig import _one_blas_thread
 from .specfun import FractionalOrder, _basis_scales, _image_prefactors, _jacobi_all, jacobi_norm_sq
 
 __all__ = [
@@ -65,7 +68,8 @@ def gauss_jacobi(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     scale = jacobi_norm_sq(s, 0)
     offdiag = _recurrence_offdiagonal(s, m)
     try:
-        nodes, vecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
+        with _one_blas_thread():
+            nodes, vecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
         raise RuntimeError(
             f"tridiagonal eigensolve failed for weight exponent {s} with {m} nodes"
@@ -107,7 +111,8 @@ def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) ->
     nodes, weights = gauss_jacobi(weight_scale * order.alpha, n_max + 1)
     rows = _jacobi_all(order.alpha, n_max, nodes)
     coeffs = _basis_scales(order, n_max)
-    return coeffs[:, None] * ((rows * weights) @ rows.T) * coeffs
+    with _one_blas_thread():
+        return coeffs[:, None] * ((rows * weights) @ rows.T) * coeffs
 
 
 def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import riesz_eig.assembly
-from riesz_eig.assembly import _band_block, _entry_tables, assemble_mass, mass_entry
+from riesz_eig.assembly import _entry_tables, assemble_mass, mass_entry
 from riesz_eig.eig import solve
 from riesz_eig.quadrature import oracle_mass_entry, stiffness_check
 from riesz_eig.specfun import FractionalOrder
@@ -60,24 +60,26 @@ def test_mass_matrix_structure(two_alpha):
     idx = np.arange(22)
     odd_sum = (idx[:, None] + idx[None, :]) % 2 == 1
     assert np.all(m[odd_sum] == 0.0)
-    # the stored dense parity blocks are the right entries
-    assert not mass.banded
-    np.testing.assert_array_equal(mass.even, m[np.ix_(idx[::2], idx[::2])])
-    np.testing.assert_array_equal(mass.odd, m[np.ix_(idx[1::2], idx[1::2])])
+    # the dense parity blocks, stored or evaluated from the bands of integer
+    # alpha, are the right entries
+    assert mass.banded is (two_alpha == 2.0)
+    even, odd = mass._dense_blocks()
+    np.testing.assert_array_equal(even, m[np.ix_(idx[::2], idx[::2])])
+    np.testing.assert_array_equal(odd, m[np.ix_(idx[1::2], idx[1::2])])
     # positive definiteness, blockwise
-    assert np.linalg.eigvalsh(mass.even).min() > 0
-    assert np.linalg.eigvalsh(mass.odd).min() > 0
+    assert np.linalg.eigvalsh(even).min() > 0
+    assert np.linalg.eigvalsh(odd).min() > 0
 
 
 @pytest.mark.parametrize("two_alpha, n_max", [
     (0.37, 1024), (1.6, 1023), (2.0, 1022), (3.6, 511), (4.0, 3), (5.6, 64), (8.0, 2),
 ])
 def test_dense_blocks_are_exactly_symmetric(two_alpha, n_max):
-    # eig hands a dense block to its driver with no symmetry check: the
-    # outer product, the Hankel view and the Toeplitz view are each symmetric
+    # eig hands a dense block to its driver with no symmetry check, the bands
+    # of integer alpha too where numpy's wheel holds no OpenBLAS: the outer
+    # product, the Hankel view and the Toeplitz view are each symmetric
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    assert not mass.banded
-    for block in (mass.even, mass.odd):
+    for block in mass._dense_blocks():
         assert np.array_equal(block, block.T)
 
 
@@ -106,23 +108,24 @@ def test_banded_mass_holds_only_the_band():
 
 
 @pytest.mark.parametrize("two_alpha, n_max, banded", [
-    (2.0, 1021, False), (2.0, 1022, False), (2.0, 1023, True),  # 512 odd rows
-    (4.0, 3, False), (4.0, 4, True), (6.0, 4, True),  # an even band wider than tridiagonal
+    (2.0, 0, True), (2.0, 1021, True), (2.0, 1022, True), (2.0, 1023, True),
+    (4.0, 3, True), (4.0, 4, True), (6.0, 4, True),  # bands at every degree
     (1.6, 2048, False), (2.1, 8, False),  # non-integer alpha
 ])
 def test_storage_rule_at_its_edges(two_alpha, n_max, banded):
-    # both blocks share one stored form: bands of min(alpha, size - 1)
-    # superdiagonals, or the dense blocks
+    # both blocks share one stored form: for integer alpha bands of
+    # min(alpha, size - 1) superdiagonals (an empty block a band of shape
+    # (1, 0)), otherwise the dense blocks
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
     assert mass.banded is banded
     for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
-        rows = min(int(two_alpha / 2), size - 1) + 1 if banded else size
+        rows = min(int(two_alpha / 2), max(size - 1, 0)) + 1 if banded else size
         assert stored.shape == (rows, size)
 
 
 def test_solve_builds_the_entry_tables_once(monkeypatch):
-    # a dense-stored tridiagonal order: no band, and no second table build for
-    # a dense view of it
+    # a tridiagonal order, stored as a band: no second table build for a dense
+    # view of it
     calls = []
 
     def counting_entry_tables(alpha, m_max):
@@ -146,18 +149,15 @@ def scatter_band(band):
 
 @pytest.mark.parametrize("two_alpha, n_max", [
     *((two_alpha, n_max) for two_alpha in (2.0, 4.0, 6.0) for n_max in (0, 1, 2, 3, 24, 255)),
-    (2.0, 1023), (2.0, 1024),  # tridiagonal blocks stored as bands
+    (2.0, 1023), (2.0, 1024),
 ])
 def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
     # the dense view is evaluated, not scattered from the band; it must still
-    # hold the band's bits and +0.0 outside it, whether the blocks are stored
-    # as bands or dense
+    # hold the band's bits and +0.0 outside it
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    tables = _entry_tables(two_alpha / 2, n_max)
+    assert mass.banded
     for p, stored in enumerate((mass.even, mass.odd)):
-        indices = np.arange(p, n_max + 1, 2)
-        band = stored if mass.banded else _band_block(tables, int(two_alpha / 2), indices)
-        expected = scatter_band(band)
+        expected = scatter_band(stored)
         view = mass.entries[p::2, p::2]
         np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(np.signbit(view), np.signbit(expected))

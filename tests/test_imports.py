@@ -1,15 +1,16 @@
-"""SciPy stays out of the import floor and out of every call that needs no banded driver.
+"""No call of the package loads SciPy.
 
-Blocks that ``assembly`` stores dense are solved with numpy's LAPACK; only
-blocks stored as bands load SciPy: integer ``alpha`` with an even block wider
-than tridiagonal (``2a >= 4`` from ``N = 4``), or ``2a = 2`` from ``N = 1023``.
+Dense blocks are solved with numpy's LAPACK, and the bands of integer
+``alpha`` with LAPACK ``sbevd`` from the OpenBLAS in numpy's own wheel, or,
+where that wheel holds none, with numpy's dense drivers.  SciPy is a test
+dependency only: the tests use it as an independent oracle.
 
 ``concurrent.futures`` (the helper thread of the concurrent block solve) and
 ``mpmath`` stay out of the import floor too: only large dense blocks whose
 OpenBLAS the solve pins to one thread load the first, whatever the thread
 setting of the environment, and nothing in the package loads the second.
 
-Each case runs in a fresh interpreter: this process already holds SciPy, so
+Each case runs in a fresh interpreter: this process may already hold SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
 
 The package's public names are pinned here too, so that any change to the
@@ -23,7 +24,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import riesz_eig
@@ -84,6 +84,7 @@ def test_import_loads_no_scipy():
 
 
 def test_dense_and_small_tridiagonal_commands_load_no_scipy():
+    # dense orders and small bands
     argvs = [
         ["eig", "--two-alpha", "1.6", "--n", "16"],
         ["eig", "--two-alpha", "1.6", "--n", "16", "--format", "json"],
@@ -107,22 +108,21 @@ def test_dense_and_small_tridiagonal_commands_load_no_scipy():
     assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}
 
 
-def test_scipy_paths_run_in_a_fresh_interpreter():
-    # a band wider than tridiagonal, and a tridiagonal band of 512 odd-block
-    # rows, take SciPy's banded drivers and import SciPy where they use it
-    for argv in (
+def test_banded_commands_load_no_scipy():
+    # bands wider than tridiagonal and large tridiagonal ones, with and
+    # without vectors, go to sbevd in numpy's own OpenBLAS
+    argvs = [
         ["eig", "--two-alpha", "4", "--n", "16", "--vectors"],
         ["eig", "--two-alpha", "4", "--n", "4"],
         ["eig", "--two-alpha", "2", "--n", "1024"],
-    ):
-        report = _fresh_run([argv])
-        assert report["codes"] == [0]
-        assert "scipy.linalg" in report["scipy"]
+        ["eig", "--two-alpha", "8", "--n", "128"],
+    ]
+    assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}
 
 
 @pytest.mark.skipif(
-    riesz_eig.eig._openblas_threads(np) is None,
-    reason="numpy's BLAS has no thread-count hook, so the blocks are solved in turn",
+    riesz_eig.eig._openblas() is None,
+    reason="numpy's wheel holds no OpenBLAS, so the blocks are solved in turn",
 )
 def test_concurrent_block_solve_loads_concurrent_futures():
     # the one path that takes the helper thread: dense blocks of 512 odd rows
@@ -134,8 +134,14 @@ def test_concurrent_block_solve_loads_concurrent_futures():
 
 
 def test_no_blas_hook_solves_in_turn_without_concurrent_futures():
-    # where no OpenBLAS hook is found (numpy on another BLAS), nothing pins the
-    # count, and the same large dense blocks are solved one after the other
-    setup = "import riesz_eig.eig; riesz_eig.eig._openblas_threads = lambda module: None"
-    report = _fresh_run([["eig", "--two-alpha", "1.6", "--n", "1024"]], setup)
-    assert report == {"codes": [0], "scipy": [], "deferred": []}
+    # where numpy's wheel holds no OpenBLAS (numpy on another BLAS), nothing
+    # pins the count, the same large dense blocks are solved one after the
+    # other, and the bands of integer alpha go to the dense drivers
+    setup = "import riesz_eig.eig; riesz_eig.eig._openblas = lambda: None"
+    argvs = [
+        ["eig", "--two-alpha", "1.6", "--n", "1024"],
+        ["eig", "--two-alpha", "2", "--n", "1024", "--vectors"],
+        ["eig", "--two-alpha", "4", "--n", "64"],
+    ]
+    report = _fresh_run(argvs, setup)
+    assert report == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}

@@ -1,10 +1,16 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riesz_eig.eig
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.quadrature import (
     _recurrence_offdiagonal,
@@ -213,3 +219,36 @@ def test_stiffness_check_takes_every_prefactor_a_double_holds(two_alpha, n_max):
 def test_stiffness_check_low_degree_sweep(two_alpha):
     # every energy inner product of degrees <= 20 against the identity
     assert stiffness_check(FractionalOrder(two_alpha), 20) <= 1e-11
+
+
+_CROSS_CHECKS = """
+import hashlib, json
+from riesz_eig.quadrature import gauss_jacobi, oracle_mass_matrix, stiffness_check
+from riesz_eig.specfun import FractionalOrder
+order = FractionalOrder(0.37)
+arrays = [*gauss_jacobi(0.74, 1025), oracle_mass_matrix(order, 500)]
+print(json.dumps([*(hashlib.sha256(a).hexdigest() for a in arrays),
+                  stiffness_check(order, 500).hex()]))
+"""
+
+
+@pytest.mark.skipif(riesz_eig.eig._openblas() is None,
+                    reason="numpy's wheel holds no OpenBLAS whose thread count could be pinned")
+def test_cross_checks_do_not_depend_on_the_blas_thread_setting():
+    # fresh processes with OpenBLAS's variable unset, at 1 and at 2 threads:
+    # the rule's eigensolve and the Gram products run pinned to one thread,
+    # so the mass deviation that `mass --verify-oracle` prints (2a = 0.37,
+    # N = 500) keeps its last digits
+    src = str(Path(riesz_eig.__file__).resolve().parents[1])
+    digests = []
+    for setting in (None, "1", "2"):
+        env = {name: value for name, value in os.environ.items()
+               if name not in {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", _CROSS_CHECKS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1] == digests[2]

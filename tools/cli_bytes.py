@@ -19,8 +19,9 @@ against its parent commit with::
 
 The argvs are the ``cli_studies`` and ``cli_dumps`` operations that this
 repository's ``bench/workloads.build`` gives for seeds 0-2, followed by
-corner cases: the empty odd block, both sides of the banded storage rule and
-of the concurrency cutoff, and the named refusals.
+corner cases: the empty odd block, bands of integer ``alpha`` from the
+smallest degrees up, with and without vectors, both sides of the concurrency
+cutoff, and the named refusals.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ CORNERS = (
     ("eig", "--two-alpha", "6", "--n", "5"),
     ("eig", "--two-alpha", "6", "--n", "5", "--vectors"),
     ("eig", "--two-alpha", "8", "--n", "1"),
+    ("eig", "--two-alpha", "2", "--n", "1024", "--vectors"),
+    ("eig", "--two-alpha", "4", "--n", "1024", "--vectors", "--format", "json"),
+    ("eigfun", "--two-alpha", "4", "--n", "512"),
     ("mass", "--two-alpha", "2", "--n", "8", "--verify-oracle"),
     ("mass", "--two-alpha", "2", "--n", "1024"),
     ("mass", "--two-alpha", "2", "--n", "1030"),
