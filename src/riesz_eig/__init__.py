@@ -9,7 +9,7 @@ diagonalized independently.
 from .specfun import FractionalOrder, basis_coeff, jacobi_norm_sq
 from .quadrature import gauss_jacobi, oracle_mass_entry, stiffness_check
 from .assembly import MassMatrix, assemble_mass, mass_entry
-from .eig import EigenSolution, eval_eigenfunction, solve, sym_eig
+from .eig import EigenSolution, eval_eigenfunction, solve
 from .analysis import (
     SpectrumReport,
     condition_number,
@@ -35,7 +35,6 @@ __all__ = [
     "mass_entry",
     "assemble_mass",
     "stiffness_check",
-    "sym_eig",
     "solve",
     "eval_eigenfunction",
     "solve_sweep",

@@ -71,12 +71,12 @@ def condition_slope(order: FractionalOrder, n_list) -> tuple[list[float], float 
     n_list = list(n_list)
     if not n_list:
         raise ValueError("the degree list is empty")
+    if len(n_list) >= 3 and min(n_list) < 1:  # refused before any solve
+        raise ValueError(f"a log-log slope needs degrees >= 1, got degree {min(n_list)}")
     sols = solve_sweep(order, n_list)
     chis = [condition_number(sols[n]) for n in n_list]
     if len(n_list) < 3:
         return chis, None
-    if min(n_list) < 1:
-        raise ValueError(f"a log-log slope needs degrees >= 1, got degree {min(n_list)}")
     return chis, float(np.polyfit(np.log(n_list), np.log(chis), 1)[0])
 
 

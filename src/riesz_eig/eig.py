@@ -5,11 +5,11 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently (``_block_spectra``, which picks the driver and the schedule)
-and merged: dense blocks with numpy's LAPACK drivers, bands with LAPACK
-``sbevd`` in the OpenBLAS of numpy's own wheel, called through ``ctypes``,
-so numpy is the one library the package loads.  The spectral studies need
-only the eigenvalues, so ``solve`` computes values alone; the coefficient
-vectors are computed the first time a caller reads them.
+and merged: dense blocks with numpy's ``eigvalsh`` and ``eigh``, bands with
+LAPACK ``sbevd`` in the OpenBLAS of numpy's own wheel, called through
+``ctypes``, so numpy is the one library the package loads.  The spectral
+studies need only the eigenvalues, so ``solve`` computes values alone; the
+coefficient vectors are computed the first time a caller reads them.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ import numpy as np
 from .assembly import assemble_mass
 from .specfun import FractionalOrder, _basis_scales, _boundary_weight, _jacobi_all
 
-__all__ = ["EigenSolution", "sym_eig", "solve", "eval_eigenfunction"]
+__all__ = ["EigenSolution", "solve", "eval_eigenfunction"]
 
-_SYMMETRY_RTOL = 1e-14
 _PARITIES = ("even", "odd")
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -54,8 +53,9 @@ class EigenSolution:
 
     ``parities[i]`` tags the ``i``-th eigenvalue with the parity block it
     comes from.  ``vectors`` is computed the first time it is read, by a full
-    decomposition of the re-assembled blocks; it raises ``RuntimeError`` when
-    that decomposition loses the small end of a graded block.
+    decomposition of the re-assembled blocks (numpy's ``eigh`` on dense
+    blocks, ``sbevd`` on bands); it raises ``RuntimeError`` when a driver
+    fails or when that decomposition loses the small end of a graded block.
     """
 
     order: FractionalOrder
@@ -90,35 +90,6 @@ class EigenSolution:
         np.negative(vectors, out=vectors, where=flip[:, None])
         vectors.setflags(write=False)
         return vectors
-
-
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a symmetric matrix: ascending values, orthonormal columns.
-
-    Backed by ``numpy.linalg.eigh``, LAPACK's divide-and-conquer routine
-    ``syevd`` (Householder tridiagonalization, then divide and conquer with
-    vectors).  Rejects matrices whose asymmetry exceeds 1e-14 relative to
-    the largest entry; non-convergence raises ``RuntimeError`` with the
-    dimension and scale, since it signals a bug rather than a user error.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # exact symmetry first: the tolerance test allocates n^2 temporaries
-    if not np.array_equal(m, m.T):
-        scale = np.max(np.abs(m)) if m.size else 0.0
-        asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-        if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} vs scale {scale:.3e}"
-            )
-    try:
-        return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        scale = np.max(np.abs(m)) if m.size else 0.0
-        raise RuntimeError(
-            f"symmetric eigensolve failed to converge (dim {m.shape[-1]}, scale {scale:.3e})"
-        ) from exc
 
 
 def _check_block_mu(mu, tag, order, n_max, lost):
@@ -229,22 +200,24 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     the odd one unless it is empty (``N = 0``).  ``mu`` is the block's
     ascending spectrum and ``vecs`` its orthonormal eigenvectors as columns,
     or ``None`` unless ``vectors`` is true.  One driver, picked from the
-    stored form, the library at hand and the request, solves every block; a
-    failure raises one ``RuntimeError`` naming the block, ``N`` and ``2a``.
-    Bands go to LAPACK ``sbevd`` in numpy's own OpenBLAS (``_sbevd``), with
-    or without vectors, and never form a dense block.  Dense blocks go to
-    ``numpy.linalg.eigvalsh`` or to ``sym_eig``, looked up per call for
-    wrappers; so do bands where ``_openblas`` finds no library, as dense
-    blocks evaluated from the same tables.  On a tridiagonal block the
-    reduction ``sytrd`` of the dense drivers is the identity, so they give
-    ``sbevd``'s values bit for bit and its vectors up to sign.  ``eigvalsh``
-    is ``syevd`` without vectors, whose tridiagonal stage is the root-free
-    QR iteration ``sterf``, as in ``sbevd`` without vectors.  On the graded
-    mass blocks it keeps more of the small end than the full decomposition
-    does, but no driver does better than the Demmel-Veselic level
-    ``eps * kappa_s`` (``kappa_s`` the condition number of the diagonally
-    scaled block): the small eigenvalues are accurate only while that is
-    small.  Every spectrum passes ``_check_block_mu``.
+    stored form, the library at hand and the request, solves every block.  A
+    driver's ``numpy.linalg.LinAlgError`` is raised as one ``RuntimeError``
+    naming the block, ``N`` and ``2a``, with that error as its cause.  Bands
+    go to LAPACK ``sbevd`` in numpy's own OpenBLAS (``_sbevd``), with or
+    without vectors, and never form a dense block.  Dense blocks go to
+    ``numpy.linalg.eigvalsh`` or, for vectors, ``numpy.linalg.eigh``
+    (``syevd`` with vectors), looked up on ``numpy.linalg`` at each call; so
+    do bands where ``_openblas`` finds no library, as dense blocks evaluated
+    from the same tables.  Every dense block is built exactly symmetric.  On
+    a tridiagonal block the reduction ``sytrd`` of the dense drivers is the
+    identity, so they give ``sbevd``'s values bit for bit and its vectors up
+    to sign.  ``eigvalsh`` is ``syevd`` without vectors, whose tridiagonal
+    stage is the root-free QR iteration ``sterf``, as in ``sbevd`` without
+    vectors.  On the graded mass blocks it keeps more of the small end than
+    the full decomposition does, but no driver does better than the
+    Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the condition number
+    of the diagonally scaled block): the small eigenvalues are accurate only
+    while that is small.  Every spectrum passes ``_check_block_mu``.
 
     The drivers run on OpenBLAS pinned to one thread (``_one_blas_thread``).
     Where the pin holds, large dense blocks are solved concurrently, the odd
@@ -258,7 +231,7 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     if banded:
         blocks, driver = (mass.even, mass.odd), partial(_sbevd, vectors=vectors)
     else:
-        blocks, driver = mass._dense_blocks(), sym_eig if vectors else np.linalg.eigvalsh
+        blocks, driver = mass._dense_blocks(), np.linalg.eigh if vectors else np.linalg.eigvalsh
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
@@ -268,7 +241,7 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
         tag = _PARITIES[p]
         try:
             result = driver(blocks[p])
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
+        except np.linalg.LinAlgError as exc:
             where = f"N={n_max}, 2a={order.two_alpha:g}"
             raise RuntimeError(f"the {tag} block's eigensolve failed ({where}): {exc}") from exc
         mu, vecs = result if vectors else (result, None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import riesz_eig.analysis
 from riesz_eig.analysis import (
     condition_number,
     condition_slope,
@@ -76,8 +77,13 @@ def test_condition_slope_needs_three_points():
         condition_slope(FractionalOrder(1.6), [])
 
 
-def test_condition_slope_rejects_degree_zero():
-    with pytest.raises(ValueError, match="degree 0"):
+def test_condition_slope_rejects_degree_zero(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the degree-0 refusal")
+
+    # refused before any degree is solved
+    monkeypatch.setattr(riesz_eig.analysis, "solve_sweep", refuse)
+    with pytest.raises(ValueError, match="a log-log slope needs degrees >= 1, got degree 0"):
         condition_slope(FractionalOrder(1.6), [0, 4, 8])
 
 

@@ -64,7 +64,7 @@ def _fresh_run(argvs, setup="", **env_vars):
 PUBLIC_NAMES = {
     "FractionalOrder", "MassMatrix", "EigenSolution", "SpectrumReport", "jacobi_norm_sq",
     "basis_coeff", "gauss_jacobi", "oracle_mass_entry", "mass_entry", "assemble_mass",
-    "stiffness_check", "sym_eig", "solve", "eval_eigenfunction", "solve_sweep", "weyl_ratios",
+    "stiffness_check", "solve", "eval_eigenfunction", "solve_sweep", "weyl_ratios",
     "condition_number", "condition_slope", "convergence_table", "reliable_eigenvalues",
     "spectrum_report",
 }

@@ -20,8 +20,9 @@ against its parent commit with::
 The argvs are the ``cli_studies`` and ``cli_dumps`` operations that this
 repository's ``bench/workloads.build`` gives for seeds 0-2, followed by
 corner cases: the empty odd block, bands of integer ``alpha`` from the
-smallest degrees up, with and without vectors, both sides of the concurrency
-cutoff, and the named refusals.
+smallest degrees up, with and without vectors, dense vectors from the
+smallest degrees up, both sides of the concurrency cutoff, and the named
+refusals.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ CORNERS = (
     *(("eig", "--two-alpha", "2", "--n", n) for n in ("0", "1", "1022", "1023", "1024")),
     *(("eig", "--two-alpha", "2", "--n", n, "--vectors") for n in ("0", "1", "1023")),
     ("eig", "--two-alpha", "2", "--n", "1022", "--vectors", "--format", "json"),
-    ("eig", "--two-alpha", "1.6", "--n", "1023", "--vectors"),
+    *(("eig", "--two-alpha", "1.6", "--n", n, "--vectors") for n in ("0", "1022", "1023")),
+    ("eig", "--two-alpha", "1.6", "--n", "1", "--vectors", "--format", "json"),
     *(("eig", "--two-alpha", "4", "--n", n, "--vectors") for n in ("2", "3", "4", "64")),
     ("eig", "--two-alpha", "6", "--n", "4"),
     ("eig", "--two-alpha", "6", "--n", "5"),
@@ -58,6 +60,7 @@ CORNERS = (
     ("eig", "--two-alpha", "171", "--n", "2"),  # refused: every entry underflows
     ("eig", "--two-alpha", "3e300", "--n", "2"),  # refused: K underflows; no Q, U built
     ("mass", "--two-alpha", "1.7e308", "--n", "2"),  # refused: lgamma overflows, so K = 0
+    ("condition", "--two-alpha", "1.8", "--n-list", "0,8,16"),  # refused: degree 0 in a slope
 )
 
 
