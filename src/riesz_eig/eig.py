@@ -5,9 +5,11 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently (``_block_spectra``, which picks the driver and the schedule)
-and merged: dense blocks with numpy's ``eigvalsh`` and ``eigh``, bands with
-LAPACK ``sbevd`` in the OpenBLAS of numpy's own wheel, called through
-``ctypes``, so numpy is the one library the package loads.  The spectral
+and merged: dense blocks with LAPACK ``syevd``, in place, and bands with
+``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
+``ctypes``, so numpy is the one library the package loads; numpy's
+``eigvalsh`` and ``eigh`` serve only where that wheel holds no OpenBLAS.  The
+same lookup gives ``quadrature`` its tridiagonal ``stevd``.  The spectral
 studies need only the eigenvalues, so ``solve`` computes values alone; the
 coefficient vectors are computed the first time a caller reads them.
 """
@@ -34,11 +36,13 @@ _PARITIES = ("even", "odd")
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # Fewest rows of the odd (smaller) block from which dense blocks are solved
-# concurrently when BLAS is pinned to one thread.  eigvalsh on the 2a = 1.6
-# blocks, serial/concurrent wall time over paired runs on a 2-core x86_64 VM,
-# BLAS at one thread: 0.87 at 257 rows, 0.91 at 385 and 449 rows, 1.69 at 513
-# rows and 1.79 at 1025 rows.  numpy's eigvalsh holds the GIL through LAPACK
-# on 500 rows or fewer, so smaller blocks cannot overlap at all.
+# concurrently when BLAS is pinned to one thread.  Measured with numpy's
+# eigvalsh on the 2a = 1.6 blocks, serial/concurrent wall time over paired
+# runs on a 2-core x86_64 VM, BLAS at one thread: 0.87 at 257 rows, 0.91 at
+# 385 and 449 rows, 1.69 at 513 rows and 1.79 at 1025 rows.  That driver held
+# the GIL through LAPACK on 500 rows or fewer; the ctypes call into syevd
+# releases it at every size, so the cutoff is due for a measurement per driver
+# (ROADMAP item 7).
 _CONCURRENT_MIN_ROWS = 512
 _PIN_LOCK = threading.Lock()
 _PINNED = [0, 0]  # [solves inside the OpenBLAS pin, the thread count before the first]
@@ -53,9 +57,10 @@ class EigenSolution:
 
     ``parities[i]`` tags the ``i``-th eigenvalue with the parity block it
     comes from.  ``vectors`` is computed the first time it is read, by a full
-    decomposition of the re-assembled blocks (numpy's ``eigh`` on dense
-    blocks, ``sbevd`` on bands); it raises ``RuntimeError`` when a driver
-    fails or when that decomposition loses the small end of a graded block.
+    decomposition of the re-assembled blocks (``syevd`` on dense blocks,
+    which it overwrites with the vectors, ``sbevd`` on bands); it raises
+    ``RuntimeError`` when a driver fails or when that decomposition loses the
+    small end of a graded block.
     """
 
     order: FractionalOrder
@@ -121,6 +126,8 @@ class _OpenBLAS(NamedTuple):
     get_threads: object
     set_threads: object
     sbevd: object  # LAPACKE_dsbevd: (layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz) -> info
+    syevd: object  # LAPACKE_dsyevd: (layout, jobz, uplo, n, a, lda, w) -> info
+    stevd: object  # LAPACKE_dstevd: (layout, jobz, n, d, e, z, ldz) -> info
 
 
 @cache
@@ -130,7 +137,8 @@ def _openblas():
     numpy's Linux wheels hold the ILP64 build of ``scipy-openblas``: every
     symbol ends in ``64_`` and every LAPACK integer is 64 bits wide.  Where
     there is none (numpy on MKL, Accelerate or a system BLAS),
-    ``_block_spectra`` sends every block to numpy's dense drivers and
+    ``_block_spectra`` sends every block to numpy's dense drivers,
+    ``quadrature`` builds its rules with numpy's ``eigh``, and
     ``_one_blas_thread`` sets nothing.
     """
     libs = Path(np.__file__).parents[1] / "numpy.libs"
@@ -141,6 +149,10 @@ def _openblas():
             CFUNCTYPE(None, c_int)(("scipy_openblas_set_num_threads64_", lib)),
             CFUNCTYPE(c_int64, c_int, c_char, c_char, c_int64, c_int64, c_void_p, c_int64,
                       c_void_p, c_void_p, c_int64)(("scipy_LAPACKE_dsbevd64_", lib)),
+            CFUNCTYPE(c_int64, c_int, c_char, c_char, c_int64, c_void_p, c_int64,
+                      c_void_p)(("scipy_LAPACKE_dsyevd64_", lib)),
+            CFUNCTYPE(c_int64, c_int, c_char, c_int64, c_void_p, c_void_p, c_void_p,
+                      c_int64)(("scipy_LAPACKE_dstevd64_", lib)),
         )
     return None
 
@@ -149,7 +161,7 @@ def _openblas():
 def _one_blas_thread():
     """Pin numpy's OpenBLAS to one thread, process-wide; yield whether it took hold."""
     # with no library there is nothing to set, and the pin never takes hold
-    get, set_, _ = _openblas() or (lambda: 0, lambda count: None, None)
+    get, set_, *_ = _openblas() or (lambda: 0, lambda count: None)
     with _PIN_LOCK:
         if not _PINNED[0]:
             _PINNED[1] = get()
@@ -164,14 +176,29 @@ def _one_blas_thread():
                 set_(_PINNED[1])
 
 
+def _check_info(driver: str, info: int, matrix: str) -> None:
+    """Raise for a nonzero LAPACKE ``info`` of ``driver``; ``matrix`` names what it solved.
+
+    A workspace that LAPACKE could not allocate raises ``MemoryError``, a
+    failure to converge or a rejected argument ``numpy.linalg.LinAlgError``.
+    """
+    if info in _WORKSPACE_ERRORS:
+        raise MemoryError(f"{driver} could not allocate its workspace for {matrix}")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{driver} did not converge: {info} off-diagonal elements of the tridiagonal form "
+            f"stayed nonzero"
+        )
+    if info:
+        raise np.linalg.LinAlgError(f"{driver} rejected its argument {-info}")
+
+
 def _sbevd(band: np.ndarray, vectors: bool):
     """LAPACK ``sbevd`` on an upper-band block: ascending values, and the vectors as columns.
 
     ``band`` is in the upper-band storage of ``assembly``; it is copied,
     since ``sbevd`` overwrites it.  Returns the values alone unless
-    ``vectors`` is true.  A failure to converge raises
-    ``numpy.linalg.LinAlgError``, and a workspace that LAPACKE could not
-    allocate ``MemoryError``.
+    ``vectors`` is true.  Failures raise as ``_check_info`` says.
     """
     kd, n = band.shape[0] - 1, band.shape[1]
     ab = np.array(band, dtype=float, order="F")
@@ -181,16 +208,46 @@ def _sbevd(band: np.ndarray, vectors: bool):
         _COL_MAJOR, b"V" if vectors else b"N", b"U", n, kd, ab.ctypes.data, kd + 1,
         w.ctypes.data, z.ctypes.data, n if vectors else 1,
     )
-    if info in _WORKSPACE_ERRORS:
-        raise MemoryError(f"sbevd could not allocate its workspace for a band of {n} rows")
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"sbevd did not converge: {info} off-diagonal elements of the tridiagonal form "
-            f"stayed nonzero"
-        )
-    if info:
-        raise np.linalg.LinAlgError(f"sbevd rejected its argument {-info}")
+    _check_info("sbevd", info, f"a band of {n} rows")
     return (w, z) if vectors else w
+
+
+def _syevd(block: np.ndarray, vectors: bool):
+    """LAPACK ``syevd`` on a dense block, in place: ascending values, and the vectors as columns.
+
+    ``block`` is a writable, C-contiguous and exactly symmetric block that no
+    one else holds: its memory is the block in column-major order too, so
+    LAPACK reads the lower triangle straight from it, and the copy that
+    numpy's drivers make is not needed.  ``syevd`` overwrites the block; with
+    ``vectors`` it leaves the vectors there, in column-major order, and they
+    are returned as ``block.T``.  The values come back in a new array.  The
+    bits are those of numpy's ``eigvalsh`` and ``eigh``, which call the same
+    routine on a copy.  Failures raise as ``_check_info`` says.
+    """
+    n = block.shape[0]
+    w = np.empty(n)
+    info = _openblas().syevd(
+        _COL_MAJOR, b"V" if vectors else b"N", b"L", n, block.ctypes.data, max(n, 1),
+        w.ctypes.data,
+    )
+    _check_info("syevd", info, f"a block of {n} rows")
+    return (w, block.T) if vectors else w
+
+
+def _stevd(offdiag: np.ndarray):
+    """LAPACK ``stevd`` on the symmetric tridiagonal matrix with zero diagonal and ``offdiag``.
+
+    Returns the ascending eigenvalues and the orthonormal eigenvectors as
+    columns; ``offdiag``, a contiguous float array, is overwritten.  Failures
+    raise as ``_check_info`` says.
+    """
+    n = offdiag.size + 1
+    d = np.zeros(n)
+    z = np.empty((n, n), order="F")
+    info = _openblas().stevd(_COL_MAJOR, b"V", n, d.ctypes.data, offdiag.ctypes.data,
+                             z.ctypes.data, n)
+    _check_info("stevd", info, f"a tridiagonal matrix of {n} rows")
+    return d, z
 
 
 def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
@@ -200,21 +257,23 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     the odd one unless it is empty (``N = 0``).  ``mu`` is the block's
     ascending spectrum and ``vecs`` its orthonormal eigenvectors as columns,
     or ``None`` unless ``vectors`` is true.  One driver, picked from the
-    stored form, the library at hand and the request, solves every block.  A
-    driver's ``numpy.linalg.LinAlgError`` is raised as one ``RuntimeError``
-    naming the block, ``N`` and ``2a``, with that error as its cause.  Bands
-    go to LAPACK ``sbevd`` in numpy's own OpenBLAS (``_sbevd``), with or
-    without vectors, and never form a dense block.  Dense blocks go to
-    ``numpy.linalg.eigvalsh`` or, for vectors, ``numpy.linalg.eigh``
-    (``syevd`` with vectors), looked up on ``numpy.linalg`` at each call; so
-    do bands where ``_openblas`` finds no library, as dense blocks evaluated
-    from the same tables.  Every dense block is built exactly symmetric.  On
-    a tridiagonal block the reduction ``sytrd`` of the dense drivers is the
-    identity, so they give ``sbevd``'s values bit for bit and its vectors up
-    to sign.  ``eigvalsh`` is ``syevd`` without vectors, whose tridiagonal
-    stage is the root-free QR iteration ``sterf``, as in ``sbevd`` without
-    vectors.  On the graded mass blocks it keeps more of the small end than
-    the full decomposition does, but no driver does better than the
+    stored form and the library at hand, solves every block, with or without
+    vectors.  A driver's ``numpy.linalg.LinAlgError`` is raised as one
+    ``RuntimeError`` naming the block, ``N`` and ``2a``, with that error as
+    its cause.  The drivers are LAPACK's, in numpy's own OpenBLAS: bands go
+    to ``sbevd`` (``_sbevd``) and never form a dense block; dense blocks go
+    to ``syevd`` (``_syevd``), which solves them in place, so no block is
+    copied between assembly and LAPACK and the vectors take the blocks'
+    memory.  Where ``_openblas`` finds no library, every block goes to
+    ``numpy.linalg.eigvalsh`` or, for vectors, ``numpy.linalg.eigh`` (both
+    ``syevd`` on a copy), looked up on ``numpy.linalg`` at each call; bands
+    then become dense blocks evaluated from the same tables.  Every dense
+    block is built exactly symmetric.  On a tridiagonal block the reduction
+    ``sytrd`` of the dense drivers is the identity, so they give ``sbevd``'s
+    values bit for bit and its vectors up to sign.  ``syevd`` without
+    vectors takes its values from the root-free QR iteration ``sterf``, as
+    ``sbevd`` does.  On the graded mass blocks that keeps more of the small
+    end than the full decomposition does, but no driver does better than the
     Demmel-Veselic level ``eps * kappa_s`` (``kappa_s`` the condition number
     of the diagonally scaled block): the small eigenvalues are accurate only
     while that is small.  Every spectrum passes ``_check_block_mu``.
@@ -227,11 +286,14 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     vectors never holds it beside them.
     """
     mass = assemble_mass(order, n_max)
-    banded = mass.banded and _openblas() is not None
-    if banded:
-        blocks, driver = (mass.even, mass.odd), partial(_sbevd, vectors=vectors)
-    else:
+    if _openblas() is None:
         blocks, driver = mass._dense_blocks(), np.linalg.eigh if vectors else np.linalg.eigvalsh
+    else:
+        blocks = mass.even, mass.odd
+        driver = partial(_sbevd if mass.banded else _syevd, vectors=vectors)
+        if not mass.banded:  # the blocks of this call alone, which syevd overwrites
+            for block in blocks:
+                block.setflags(write=True)
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
@@ -250,7 +312,7 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
 
     odd_rows = (n_max + 1) // 2
     with _one_blas_thread() as pinned:
-        if odd_rows >= _CONCURRENT_MIN_ROWS and not banded and pinned:
+        if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and pinned:
             from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
 
             # leaving the block joins the helper; then an error of the even block wins
@@ -265,11 +327,12 @@ def solve(order: FractionalOrder, n_max: int) -> EigenSolution:
     """Eigenvalues of the discrete problem at basis degree ``n_max``.
 
     Each parity block of the mass matrix is solved for its eigenvalues alone
-    (``sbevd`` on a band, ``eigvalsh`` on a dense block) on OpenBLAS pinned
-    to one thread, so the bits do not depend on the thread setting unless
-    numpy runs on another BLAS; other threads' BLAS calls run on one thread
-    meanwhile.  The blocks' reciprocals ``1/mu``, each reversed
-    into ascending order, are joined even block first, and one stable sort
+    (``sbevd`` on a band, ``syevd`` in place on a dense block, numpy's
+    ``eigvalsh`` where numpy's wheel holds no OpenBLAS) on OpenBLAS pinned to
+    one thread, so the bits do not depend on the thread setting unless numpy
+    runs on another BLAS; other threads' BLAS calls run on one thread
+    meanwhile.  The blocks' reciprocals ``1/mu``, each reversed into
+    ascending order, are joined even block first, and one stable sort
     merges them: tied eigenvalues keep even before odd, then their position
     in the block.  No vector is computed here (see ``EigenSolution.vectors``).
     """

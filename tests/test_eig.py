@@ -151,35 +151,54 @@ def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
 
 
 def test_values_paths_never_decompose_fully(monkeypatch):
+    # syevd without vectors, and numpy's eigvalsh where numpy's wheel holds no OpenBLAS
+    syevd = riesz_eig.eig._syevd
+
+    def syevd_values_only(block, vectors):
+        if vectors:
+            raise AssertionError("syevd asked for vectors on a values-only path")
+        return syevd(block, vectors)
+
     def no_vectors(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigh called on a values-only path")
 
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", syevd_values_only)
     monkeypatch.setattr(np.linalg, "eigh", no_vectors)
     order = FractionalOrder(1.6)
-    sol = solve(order, 64)
-    spectrum_report(sol)
-    weyl_ratios(sol)
-    condition_slope(order, [8, 16, 32])
-    convergence_table(order, [8, 16], 32)
-    with pytest.raises(AssertionError):
-        sol.vectors
+    for hooked in (True, False):
+        if not hooked:
+            _no_openblas(monkeypatch)
+        sol = solve(order, 64)
+        spectrum_report(sol)
+        weyl_ratios(sol)
+        condition_slope(order, [8, 16, 32])
+        convergence_table(order, [8, 16], 32)
+        with pytest.raises(AssertionError):
+            sol.vectors
 
 
 def test_solve_names_lost_small_end(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
+    # syevd, and numpy's eigvalsh where numpy's wheel holds no OpenBLAS
+    syevd, eigvalsh = riesz_eig.eig._syevd, np.linalg.eigvalsh
 
-    def eigvalsh_losing_small_end(block):
-        values = eigvalsh(block)
-        values[0] = -1e-21
-        return values
+    def losing_small_end(driver):
+        def run(block, **kwargs):
+            values = driver(block, **kwargs)
+            values[0] = -1e-21
+            return values
+        return run
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_losing_small_end)
-    with pytest.raises(RuntimeError) as exc:
-        solve(FractionalOrder(5.6), 8)
-    message = str(exc.value)
-    assert "-1.000e-21 in the even block (N=8, 2a=5.6)" in message
-    assert "below the rounding level eps*mu_max" in message
-    assert "assembly bug" not in message
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", losing_small_end(syevd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", losing_small_end(eigvalsh))
+    for hooked in (True, False):
+        if not hooked:
+            _no_openblas(monkeypatch)
+        with pytest.raises(RuntimeError) as exc:
+            solve(FractionalOrder(5.6), 8)
+        message = str(exc.value)
+        assert "-1.000e-21 in the even block (N=8, 2a=5.6)" in message
+        assert "below the rounding level eps*mu_max" in message
+        assert "assembly bug" not in message
 
 
 def test_graded_block_values_succeed_but_vectors_name_lost_small_end():
@@ -377,6 +396,92 @@ def test_sbevd_workspace_failure_raises_memory_error(monkeypatch, info):
         solve(FractionalOrder(4.0), 8)
 
 
+@needs_openblas
+@pytest.mark.parametrize("two_alpha", [0.37, 1.6, 3.6])
+def test_syevd_equals_numpy_dense_drivers(two_alpha):
+    # the routine that numpy's eigvalsh and eigh call on a copy of the block:
+    # solved in place on a writable copy here, the values and the vectors
+    # agree bit for bit, sign bits included
+    with riesz_eig.eig._one_blas_thread():
+        for rows in (1, 2, 5, 257, 513, 1025):
+            block = assemble_mass(FractionalOrder(two_alpha), 2 * rows - 2).even
+            values = riesz_eig.eig._syevd(np.array(block), vectors=False)
+            mu, vecs = riesz_eig.eig._syevd(np.array(block), vectors=True)
+            expected_mu, expected_vecs = np.linalg.eigh(block)
+            np.testing.assert_array_equal(values, np.linalg.eigvalsh(block))
+            np.testing.assert_array_equal(mu, expected_mu)
+            np.testing.assert_array_equal(vecs, expected_vecs)
+            np.testing.assert_array_equal(np.signbit(vecs), np.signbit(expected_vecs))
+
+
+@needs_openblas
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_syevd_failure_names_the_block(monkeypatch, vectors):
+    # LAPACKE's info > 0: the tridiagonal stage did not converge
+    failing = riesz_eig.eig._openblas()._replace(syevd=lambda *a: 3)
+    sol = solve(FractionalOrder(1.6), 8)
+    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    with pytest.raises(RuntimeError) as exc:
+        sol.vectors if vectors else solve(FractionalOrder(1.6), 8)
+    assert str(exc.value) == (
+        "the even block's eigensolve failed (N=8, 2a=1.6): syevd did not converge: "
+        "3 off-diagonal elements of the tridiagonal form stayed nonzero"
+    )
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+@needs_openblas
+@pytest.mark.parametrize("info", [-1010, -1011])
+def test_syevd_workspace_failure_raises_memory_error(monkeypatch, info):
+    # LAPACKE's codes for a work or transpose array it could not allocate
+    failing = riesz_eig.eig._openblas()._replace(syevd=lambda *a: info)
+    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    with pytest.raises(MemoryError, match="could not allocate its workspace for a block of 5 rows"):
+        solve(FractionalOrder(1.6), 8)
+
+
+@pytest.mark.parametrize("two_alpha, n_max", [(1.6, 8), (1.6, 1024), (4.0, 8)])
+def test_solve_leaves_a_callers_mass_blocks_alone(two_alpha, n_max):
+    # syevd overwrites the blocks the solve assembles for itself, never those
+    # that assemble_mass hands to a caller
+    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    held = [np.array(block) for block in (mass.even, mass.odd)]
+    solve(FractionalOrder(two_alpha), n_max).vectors
+    for block, before in zip((mass.even, mass.odd), held):
+        assert not block.flags.writeable
+        np.testing.assert_array_equal(block, before)
+
+
+_PEAK_GROWTH = """
+from riesz_eig.eig import solve
+from riesz_eig.specfun import FractionalOrder
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+solve(FractionalOrder(1.6), 64)
+before = peak()
+solve(FractionalOrder(1.6), 2048)
+print(peak() - before)
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="no /proc/self/status")
+def test_dense_solve_peak_memory_is_the_blocks_alone():
+    # solve(1.6, 2048) holds its two 1025-row blocks, solved concurrently in
+    # place: measured 2.2 blocks of growth of the peak resident set, against
+    # 4.2 while numpy's drivers copied each block
+    src = str(Path(riesz_eig.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 3 * 8 * 1025**2
+
+
 # Largest relative deviation of the dense solve of the bands from sbevd's,
 # measured: 0 at 2a = 2 (the dense reduction leaves a tridiagonal block as it
 # is), 1.2e-12 at (4, 64), 1.1e-11 at (6, 64) and 4.3e-8 at (8, 128).  Wider
@@ -417,26 +522,35 @@ def test_banded_paths_never_form_a_dense_block(monkeypatch):
         assert sol.vectors.shape == (n_max + 1, n_max + 1)
 
 
-def test_dense_vectors_go_through_eigh(monkeypatch):
-    # looked up on numpy.linalg at call time, so a wrapper (a tracer, say) sees each block
+@needs_openblas
+def test_dense_vectors_go_through_syevd(monkeypatch):
+    # each driver is looked up at call time, so a wrapper (a tracer, say) sees each block
     dims = []
-    eigh = np.linalg.eigh
+    syevd, eigh = riesz_eig.eig._syevd, np.linalg.eigh
+
+    def recording_syevd(block, vectors):
+        dims.append(("syevd", len(block), vectors))
+        return syevd(block, vectors)
 
     def recording_eigh(matrix):
-        dims.append(len(matrix))
+        dims.append(("eigh", len(matrix), True))
         return eigh(matrix)
 
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", recording_syevd)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     solve(FractionalOrder(1.6), 8).vectors
-    assert dims == [5, 4]
+    assert dims == [("syevd", n, vectors) for vectors in (False, True) for n in (5, 4)]
+    dims.clear()
     solve(FractionalOrder(1.6), 0).vectors
     solve(FractionalOrder(2.0), 8).vectors  # bands keep sbevd
     solve(FractionalOrder(4.0), 8).vectors
-    assert dims == [5, 4, 1]
-    _no_openblas(monkeypatch)  # no banded LAPACK: the dense blocks of the bands
+    assert dims == [("syevd", 1, False), ("syevd", 1, True)]
+    dims.clear()
+    _no_openblas(monkeypatch)  # no LAPACK of our own: numpy's eigh, on the bands' dense blocks too
+    solve(FractionalOrder(1.6), 8).vectors
     solve(FractionalOrder(2.0), 8).vectors
     solve(FractionalOrder(4.0), 0).vectors
-    assert dims == [5, 4, 1, 5, 4, 1]
+    assert dims == [("eigh", n, True) for n in (5, 4, 5, 4, 1)]
 
 
 def _no_openblas(monkeypatch):
@@ -480,6 +594,7 @@ def test_blocks_run_concurrently_only_when_pinned_large_and_dense(
         return run
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", recording(riesz_eig.eig._syevd))
     monkeypatch.setattr(riesz_eig.eig, "_sbevd", recording(riesz_eig.eig._sbevd))
     if not hooked:
         _no_openblas(monkeypatch)
@@ -507,26 +622,32 @@ def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
 def test_both_blocks_see_one_blas_thread(monkeypatch, blas_at_two_threads):
     get = blas_at_two_threads
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    syevd = riesz_eig.eig._syevd
 
-    def recording(block):
+    def recording(block, vectors):
         seen.append((threading.current_thread() is threading.main_thread(), get()))
-        return eigvalsh(block)
+        return syevd(block, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", recording)
     solve(FractionalOrder(1.6), 1024)
     assert sorted(seen) == [(False, 1), (True, 1)]  # the odd block on the helper thread
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("module, driver, two_alpha, n_max", [
-    ("numpy", "eigvalsh", 1.6, 1024),  # dense blocks, solved concurrently
-    ("numpy", "eigvalsh", 1.6, 64),
+    ("eig", "_syevd", 1.6, 1024),  # dense blocks, solved concurrently
+    ("eig", "_syevd", 1.6, 64),
     ("eig", "_sbevd", 4.0, 64),
+    # numpy's dense drivers serve where numpy's wheel holds no OpenBLAS: the
+    # solve then finds no library and leaves the count alone
+    ("numpy", "eigvalsh", 1.6, 1024),
+    ("numpy", "eigvalsh", 1.6, 64),
 ])
 def test_solve_restores_the_blas_thread_count(
     monkeypatch, blas_at_two_threads, module, driver, two_alpha, n_max, fails
 ):
+    if module == "numpy":
+        _no_openblas(monkeypatch)
     if fails:
         def not_converging(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -543,15 +664,15 @@ def test_overlapping_solves_share_one_pin_and_restore_it(monkeypatch, blas_at_tw
     # the count while another was inside would show as 2 under a driver
     get = blas_at_two_threads
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    syevd = riesz_eig.eig._syevd
 
-    def recording(block):
+    def recording(block, vectors):
         seen.append(get())
-        values = eigvalsh(block)
+        values = syevd(block, vectors)
         seen.append(get())
         return values
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", recording)
     sizes = [1024, 1023, 512, 64, 8, 1]
     done = []
     callers = [
@@ -612,17 +733,17 @@ def test_bits_do_not_depend_on_the_blas_thread_setting():
 def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failing, named):
     # at N = 1024 the even block has 513 rows and the odd one 512
     sizes = {"even": 513, "odd": 512}
-    eigvalsh = np.linalg.eigvalsh
+    syevd = riesz_eig.eig._syevd
 
-    def eigvalsh_losing_small_end(block):
-        values = eigvalsh(block)
+    def syevd_losing_small_end(block, vectors):
+        values = syevd(block, vectors)
         if len(block) == sizes["odd"]:
             time.sleep(0.2)  # the helper's block fails last
         if len(block) in {sizes[tag] for tag in failing}:
             values[0] = -1e-21
         return values
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_losing_small_end)
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", syevd_losing_small_end)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(1.6), 1024)
@@ -631,15 +752,20 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
 
 
 @pytest.mark.parametrize("module, driver, two_alpha, vectors", [
-    ("numpy", "eigvalsh", 1.6, False),
-    ("numpy", "eigh", 1.6, True),
+    ("eig", "_syevd", 1.6, False),
+    ("eig", "_syevd", 1.6, True),
     ("eig", "_sbevd", 4.0, False),
     ("eig", "_sbevd", 4.0, True),
+    # numpy's dense drivers, where numpy's wheel holds no OpenBLAS
+    ("numpy", "eigvalsh", 1.6, False),
+    ("numpy", "eigh", 1.6, True),
 ])
 def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, vectors):
     def not_converging(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    if module == "numpy":
+        _no_openblas(monkeypatch)
     sol = solve(FractionalOrder(two_alpha), 8)
     namespace = {"numpy": np.linalg, "eig": riesz_eig.eig}[module]
     monkeypatch.setattr(namespace, driver, not_converging)
@@ -657,12 +783,12 @@ def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, 
 def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
     # at N = 1024 the even block has 513 rows and the odd one 512; the odd
     # block fails first, on the helper thread
-    def failing_eigvalsh(block):
+    def failing_syevd(block, vectors):
         if len(block) == 513:
             time.sleep(0.2)
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({len(block)} rows)")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    monkeypatch.setattr(riesz_eig.eig, "_syevd", failing_syevd)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as exc:
         solve(FractionalOrder(1.6), 1024)

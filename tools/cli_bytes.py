@@ -21,8 +21,8 @@ The argvs are the ``cli_studies`` and ``cli_dumps`` operations that this
 repository's ``bench/workloads.build`` gives for seeds 0-2, followed by
 corner cases: the empty odd block, bands of integer ``alpha`` from the
 smallest degrees up, with and without vectors, dense vectors from the
-smallest degrees up, both sides of the concurrency cutoff, and the named
-refusals.
+smallest degrees up, both sides of the concurrency cutoff, a quadrature
+cross-check on a rule of hundreds of nodes, and the named refusals.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ CORNERS = (
     ("mass", "--two-alpha", "2", "--n", "1024"),
     ("mass", "--two-alpha", "2", "--n", "1030"),
     ("mass", "--two-alpha", "4", "--n", "40"),
+    ("mass", "--two-alpha", "0.37", "--n", "500", "--verify-oracle"),  # a 501-node rule
+    ("eig", "--two-alpha", "1.6", "--n", "2048"),  # two 1025-row blocks, solved concurrently
     ("eigfun", "--two-alpha", "2", "--n", "1100"),
     ("eig", "--two-alpha", "5.6", "--n", "512", "--vectors"),  # refused: lost small end
     ("eig", "--two-alpha", "12", "--n", "600"),  # refused: lost small end
