@@ -4,9 +4,10 @@ With an identity stiffness matrix the generalized problem collapses to the
 standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
-independently (``_block_spectra``, which picks the driver and the schedule)
-and merged: dense blocks with LAPACK ``syevd``, in place, and bands with
-``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
+independently (``_block_spectra``, which picks the driver and the schedule:
+the pair runs on two threads once the odd block has ``_CONCURRENT_MIN_ROWS``
+rows) and merged: dense blocks with LAPACK ``syevd``, in place, and bands
+with ``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
 ``ctypes``, so numpy is the one library the package loads; numpy's
 ``eigvalsh`` and ``eigh`` serve only where that wheel holds no OpenBLAS.  The
 same lookup gives ``quadrature`` its tridiagonal ``stevd``.  The spectral
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import assemble_mass
+from .assembly import _on_two_threads, assemble_mass
 from .specfun import FractionalOrder, _basis_scales, _boundary_weight, _jacobi_all
 
 __all__ = ["EigenSolution", "solve", "eval_eigenfunction"]
@@ -35,15 +36,19 @@ __all__ = ["EigenSolution", "solve", "eval_eigenfunction"]
 _PARITIES = ("even", "odd")
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Fewest rows of the odd (smaller) block from which dense blocks are solved
-# concurrently when BLAS is pinned to one thread.  Measured with numpy's
-# eigvalsh on the 2a = 1.6 blocks, serial/concurrent wall time over paired
-# runs on a 2-core x86_64 VM, BLAS at one thread: 0.87 at 257 rows, 0.91 at
-# 385 and 449 rows, 1.69 at 513 rows and 1.79 at 1025 rows.  That driver held
-# the GIL through LAPACK on 500 rows or fewer; the ctypes call into syevd
-# releases it at every size, so the cutoff is due for a measurement per driver
-# (ROADMAP item 7).
-_CONCURRENT_MIN_ROWS = 512
+# Fewest rows of the odd (smaller) block from which the pair is solved
+# concurrently when BLAS is pinned to one thread.  Serial/concurrent wall time
+# of _block_spectra (its assemble_mass call included), BLAS pinned, 2-core
+# x86_64 VM, median of 41 interleaved runs, at odd-block rows
+# 64/96/128/160/192/256/513:
+#   dense syevd values   0.78/0.94/1.03/1.26/1.33/1.41/1.53 (2a = 1.6)
+#   dense syevd vectors  1.14/1.34/1.33/1.48/1.55/1.70/1.75
+#   band sbevd values    0.79/0.93/1.00/1.13/1.26/1.42/1.66 (2a = 2)
+#   band sbevd vectors   0.93/1.03/1.27/1.42/1.47/1.60/1.71
+# Over 111 runs at 160/192/224/256 rows the values measured 1.21/1.24/1.30/1.44
+# (dense) and 1.10/1.21/1.27/1.31 (band).  256 is the first size at which
+# every driver and job clears 1.3 in both runs, so one cutoff serves them all.
+_CONCURRENT_MIN_ROWS = 256
 _PIN_LOCK = threading.Lock()
 _PINNED = [0, 0]  # [solves inside the OpenBLAS pin, the thread count before the first]
 # LAPACKE's codes for column-major storage and for a workspace it could not allocate
@@ -278,10 +283,14 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     of the diagonally scaled block): the small eigenvalues are accurate only
     while that is small.  Every spectrum passes ``_check_block_mu``.
 
-    The drivers run on OpenBLAS pinned to one thread (``_one_blas_thread``).
-    Where the pin holds, large dense blocks are solved concurrently, the odd
-    one on a helper thread (LAPACK releases the GIL); the rest in turn, and
-    no bit moves.  When both fail, the even block's error is raised.  The
+    The blocks come from one ``assemble_mass`` call (large dense blocks
+    built on two threads).  The drivers run on OpenBLAS pinned to one thread
+    (``_one_blas_thread``).  Where the pin holds and the odd block has at
+    least ``_CONCURRENT_MIN_ROWS`` rows, the pair is solved concurrently,
+    bands and dense blocks alike, the odd one on a helper thread
+    (``assembly._on_two_threads``; LAPACK releases the GIL); otherwise in
+    turn, and no bit moves.  The helper is joined before anything is raised,
+    and when both blocks fail, the even block's error is raised.  The
     assembled matrix is released on return, so a caller that scatters the
     vectors never holds it beside them.
     """
@@ -312,14 +321,8 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
 
     odd_rows = (n_max + 1) // 2
     with _one_blas_thread() as pinned:
-        if odd_rows >= _CONCURRENT_MIN_ROWS and not mass.banded and pinned:
-            from concurrent.futures import ThreadPoolExecutor  # deferred: CLI start-up
-
-            # leaving the block joins the helper; then an error of the even block wins
-            with ThreadPoolExecutor(1, thread_name_prefix="riesz-eig-odd-block") as pool:
-                odd = pool.submit(spectrum, 1)
-                even = spectrum(0)
-            return [even, odd.result()]
+        if pinned and odd_rows >= _CONCURRENT_MIN_ROWS:
+            return _on_two_threads(spectrum)
         return [spectrum(p) for p in range(2 if odd_rows else 1)]
 
 

@@ -576,47 +576,98 @@ def blas_at_two_threads():
     openblas.set_threads(before)
 
 
-@pytest.mark.parametrize("two_alpha, n_max, hooked, concurrent", [
-    pytest.param(1.6, 1024, True, True, marks=needs_openblas),
-    (1.6, 1024, False, False),
-    (1.6, 1022, True, False),  # an odd block of 511 rows, below the cutoff
-    (2.0, 1024, True, False),  # banded blocks stay serial
+# Both sides of the concurrency cutoff: the odd block has 255 rows at N = 510
+# and 256 rows, _CONCURRENT_MIN_ROWS, at N = 511.
+@pytest.mark.parametrize("two_alpha, n_max, vectors, hooked, concurrent", [
+    pytest.param(1.6, 511, False, True, True, id="dense-values-at-cutoff", marks=needs_openblas),
+    pytest.param(1.6, 510, False, True, False, id="dense-values-below"),
+    pytest.param(1.6, 511, True, True, True, id="dense-vectors-at-cutoff", marks=needs_openblas),
+    pytest.param(1.6, 510, True, True, False, id="dense-vectors-below"),
+    pytest.param(2.0, 511, False, True, True, id="band-values-at-cutoff", marks=needs_openblas),
+    pytest.param(2.0, 510, False, True, False, id="band-values-below"),
+    pytest.param(2.0, 511, True, True, True, id="band-vectors-at-cutoff", marks=needs_openblas),
+    pytest.param(2.0, 510, True, True, False, id="band-vectors-below"),
+    # no OpenBLAS to pin: large blocks in turn
+    pytest.param(1.6, 1024, False, False, False, id="no-openblas"),
 ])
-def test_blocks_run_concurrently_only_when_pinned_large_and_dense(
-    monkeypatch, two_alpha, n_max, hooked, concurrent
+def test_blocks_run_concurrently_only_when_pinned_and_large(
+    monkeypatch, two_alpha, n_max, vectors, hooked, concurrent
 ):
     helper_calls = []
 
     def recording(driver):
-        def run(block, **kwargs):
+        def run(*args, **kwargs):
             helper_calls.append(threading.current_thread() is not threading.main_thread())
-            return driver(block, **kwargs)
+            return driver(*args, **kwargs)
         return run
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-    monkeypatch.setattr(riesz_eig.eig, "_syevd", recording(riesz_eig.eig._syevd))
-    monkeypatch.setattr(riesz_eig.eig, "_sbevd", recording(riesz_eig.eig._sbevd))
+    for namespace, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (riesz_eig.eig, "_syevd"),
+                            (riesz_eig.eig, "_sbevd")):
+        monkeypatch.setattr(namespace, name, recording(getattr(namespace, name)))
     if not hooked:
         _no_openblas(monkeypatch)
-    solve(FractionalOrder(two_alpha), n_max)
+    riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
     assert sorted(helper_calls) == ([False, True] if concurrent else [False, False])
 
 
+def _recording_builds(monkeypatch, fails=(), last="odd"):
+    """Record which blocks ``assemble_mass`` builds on a helper thread.
+
+    The returned list gets ``(tag, on_helper)`` for each block built; the
+    ``last`` block's builder sleeps first, and those in ``fails`` then raise
+    ``MemoryError``.
+    """
+    builds = []
+    for name, at in (("_dense_block", 1), ("_band_block", 2)):  # where the degrees are passed
+        def build(*args, builder=getattr(riesz_eig.assembly, name), at=at):
+            tag = ("even", "odd")[int(args[at][0]) % 2]
+            builds.append((tag, threading.current_thread() is not threading.main_thread()))
+            if tag == last:
+                time.sleep(0.2)
+            if tag in fails:
+                raise MemoryError(f"no room for the {tag} block")
+            return builder(*args)
+
+        monkeypatch.setattr(riesz_eig.assembly, name, build)
+    return builds
+
+
+# Both sides of the build cutoff: the odd block has 511 rows at N = 1022 and
+# 512 rows, _CONCURRENT_BUILD_ROWS, at N = 1023.  Bands are built in turn.
+@pytest.mark.parametrize("two_alpha, n_max, concurrent", [
+    (1.6, 1023, True), (1.6, 1022, False), (2.0, 1023, False), (2.0, 2048, False),
+])
+def test_dense_blocks_are_built_concurrently_only_when_large(
+    monkeypatch, two_alpha, n_max, concurrent
+):
+    builds = _recording_builds(monkeypatch, last=None)
+    concurrent_mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    assert sorted(builds) == [("even", False), ("odd", concurrent)]
+    monkeypatch.setattr(riesz_eig.assembly, "_CONCURRENT_BUILD_ROWS", n_max + 1)
+    serial_mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    for p in ("even", "odd"):
+        np.testing.assert_array_equal(getattr(concurrent_mass, p), getattr(serial_mass, p))
+        assert not getattr(concurrent_mass, p).flags.writeable
+
+
 @needs_openblas
-@pytest.mark.parametrize("two_alpha", [1.6, 3.6])
+@pytest.mark.parametrize("two_alpha", [1.6, 3.6, 2.0, 4.0])
 def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
-    # both schedules at one BLAS thread: the serial solve finds no OpenBLAS inside
-    # a pin held around it
+    # both schedules on the same driver at one BLAS thread, the serial one with
+    # the cutoffs of the solve and of the build out of reach; at N = 1024 and
+    # at the solve's cutoff itself (N = 511)
     order = FractionalOrder(two_alpha)
-    with riesz_eig.eig._one_blas_thread(), monkeypatch.context() as patch:
-        _no_openblas(patch)
-        serial = solve(order, 1024)
-        serial_vectors = serial.vectors
-    concurrent = solve(order, 1024)
-    np.testing.assert_array_equal(concurrent.lambdas, serial.lambdas)
-    assert concurrent.parities == serial.parities
-    np.testing.assert_array_equal(concurrent.vectors, serial_vectors)
-    np.testing.assert_array_equal(np.signbit(concurrent.vectors), np.signbit(serial_vectors))
+    for n_max in (1024, 511):
+        with monkeypatch.context() as patch:
+            patch.setattr(riesz_eig.eig, "_CONCURRENT_MIN_ROWS", n_max + 1)
+            patch.setattr(riesz_eig.assembly, "_CONCURRENT_BUILD_ROWS", n_max + 1)
+            serial = solve(order, n_max)
+            serial_vectors = serial.vectors
+        concurrent = solve(order, n_max)
+        np.testing.assert_array_equal(concurrent.lambdas, serial.lambdas)
+        assert concurrent.parities == serial.parities
+        np.testing.assert_array_equal(concurrent.vectors, serial_vectors)
+        np.testing.assert_array_equal(np.signbit(concurrent.vectors), np.signbit(serial_vectors))
 
 
 def test_both_blocks_see_one_blas_thread(monkeypatch, blas_at_two_threads):
@@ -638,6 +689,7 @@ def test_both_blocks_see_one_blas_thread(monkeypatch, blas_at_two_threads):
     ("eig", "_syevd", 1.6, 1024),  # dense blocks, solved concurrently
     ("eig", "_syevd", 1.6, 64),
     ("eig", "_sbevd", 4.0, 64),
+    ("eig", "_sbevd", 2.0, 1024),  # bands, solved concurrently
     # numpy's dense drivers serve where numpy's wheel holds no OpenBLAS: the
     # solve then finds no library and leaves the count alone
     ("numpy", "eigvalsh", 1.6, 1024),
@@ -731,23 +783,34 @@ def test_bits_do_not_depend_on_the_blas_thread_setting():
 @needs_openblas
 @pytest.mark.parametrize("failing, named", [(("even", "odd"), "even"), (("odd",), "odd")])
 def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failing, named):
-    # at N = 1024 the even block has 513 rows and the odd one 512
+    # at N = 1024 the even block has 513 rows and the odd one 512, dense at
+    # 2a = 1.6 and banded at 2a = 2; the helper's block fails last
     sizes = {"even": 513, "odd": 512}
-    syevd = riesz_eig.eig._syevd
+    for two_alpha, driver in ((1.6, "_syevd"), (2.0, "_sbevd")):
+        solve_block = getattr(riesz_eig.eig, driver)
 
-    def syevd_losing_small_end(block, vectors):
-        values = syevd(block, vectors)
-        if len(block) == sizes["odd"]:
-            time.sleep(0.2)  # the helper's block fails last
-        if len(block) in {sizes[tag] for tag in failing}:
-            values[0] = -1e-21
-        return values
+        def losing_small_end(block, vectors, solve_block=solve_block):
+            values = solve_block(block, vectors)
+            if len(values) == sizes["odd"]:
+                time.sleep(0.2)
+            if len(values) in {sizes[tag] for tag in failing}:
+                values[0] = -1e-21
+            return values
 
-    monkeypatch.setattr(riesz_eig.eig, "_syevd", syevd_losing_small_end)
+        threads = threading.active_count()
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError) as exc:
+            patch.setattr(riesz_eig.eig, driver, losing_small_end)
+            solve(FractionalOrder(two_alpha), 1024)
+        assert f"-1.000e-21 in the {named} block (N=1024, 2a={two_alpha:g})" in str(exc.value)
+        assert threading.active_count() == threads
+
+    # the dense blocks' builders run out of memory, the odd one on the helper
+    # thread and last
+    builds = _recording_builds(monkeypatch, fails=failing)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError) as exc:
+    with pytest.raises(MemoryError, match=f"no room for the {named} block"):
         solve(FractionalOrder(1.6), 1024)
-    assert f"-1.000e-21 in the {named} block (N=1024, 2a=1.6)" in str(exc.value)
+    assert sorted(builds) == [("even", False), ("odd", True)]
     assert threading.active_count() == threads
 
 
@@ -782,21 +845,31 @@ def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, 
 @needs_openblas
 def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
     # at N = 1024 the even block has 513 rows and the odd one 512; the odd
-    # block fails first, on the helper thread
-    def failing_syevd(block, vectors):
-        if len(block) == 513:
+    # block fails first, on the helper thread: in a dense driver, in a banded
+    # one, or in its builder, which assemble_mass runs before either solve
+    def failing_driver(block, vectors):
+        rows = block.shape[1]
+        if rows == 513:
             time.sleep(0.2)
-        raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({len(block)} rows)")
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({rows} rows)")
 
-    monkeypatch.setattr(riesz_eig.eig, "_syevd", failing_syevd)
+    for two_alpha, driver in ((1.6, "_syevd"), (2.0, "_sbevd")):
+        threads = threading.active_count()
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError) as exc:
+            patch.setattr(riesz_eig.eig, driver, failing_driver)
+            solve(FractionalOrder(two_alpha), 1024)
+        assert str(exc.value) == (
+            f"the even block's eigensolve failed (N=1024, 2a={two_alpha:g}): "
+            "Eigenvalues did not converge (513 rows)"
+        )
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        assert threading.active_count() == threads
+
+    builds = _recording_builds(monkeypatch, fails=("even", "odd"), last="even")
     threads = threading.active_count()
-    with pytest.raises(RuntimeError) as exc:
+    with pytest.raises(MemoryError, match="no room for the even block"):
         solve(FractionalOrder(1.6), 1024)
-    assert str(exc.value) == (
-        "the even block's eigensolve failed (N=1024, 2a=1.6): "
-        "Eigenvalues did not converge (513 rows)"
-    )
-    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert sorted(builds) == [("even", False), ("odd", True)]
     assert threading.active_count() == threads
 
 
@@ -804,13 +877,15 @@ def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
 @pytest.mark.parametrize("two_alpha, n_max, hooked", [
     pytest.param(1.6, 64, True, id="dense"),  # small dense blocks
     pytest.param(4.0, 64, True, id="banded"),  # a banded driver on the stored band
-    # large dense blocks, solved concurrently
+    # large dense blocks and bands, solved concurrently
     pytest.param(1.6, 1024, True, id="concurrent", marks=needs_openblas),
+    pytest.param(2.0, 1024, True, id="banded-concurrent", marks=needs_openblas),
     pytest.param(1.6, 1024, False, id="serial"),  # large dense blocks, solved in turn
 ])
 def test_block_spectra_releases_the_mass_matrix_before_it_returns(
     monkeypatch, two_alpha, n_max, hooked, vectors
 ):
+    # one assembly per solve, let go of before the return
     refs = []
 
     def recording_assemble_mass(order, n):

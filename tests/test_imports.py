@@ -5,10 +5,9 @@ Dense blocks are solved with numpy's LAPACK, and the bands of integer
 where that wheel holds none, with numpy's dense drivers.  SciPy is a test
 dependency only: the tests use it as an independent oracle.
 
-``concurrent.futures`` (the helper thread of the concurrent block solve) and
-``mpmath`` stay out of the import floor too: only large dense blocks whose
-OpenBLAS the solve pins to one thread load the first, whatever the thread
-setting of the environment, and nothing in the package loads the second.
+``concurrent.futures`` and ``mpmath`` stay out of every command too: the
+concurrent block build and solve start their helper as a bare
+``threading.Thread``, and nothing in the package loads the second.
 
 Each case runs in a fresh interpreter: this process may already hold SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -120,17 +119,21 @@ def test_banded_commands_load_no_scipy():
     assert _fresh_run(argvs) == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}
 
 
-@pytest.mark.skipif(
-    riesz_eig.eig._openblas() is None,
-    reason="numpy's wheel holds no OpenBLAS, so the blocks are solved in turn",
-)
-def test_concurrent_block_solve_loads_concurrent_futures():
-    # the one path that takes the helper thread: dense blocks of 512 odd rows
-    # or more, which the solve pins to one BLAS thread whatever the environment
-    argvs = [["eig", "--two-alpha", "1.6", "--n", "1024"]]
+def test_concurrent_block_solves_load_no_concurrent_futures():
+    # dense and banded blocks from the cutoff's 256 odd rows up, with and
+    # without vectors, solved concurrently whatever the thread setting of the
+    # environment, and dense blocks of 512 odd rows built concurrently: the
+    # helper is a bare thread
+    argvs = [
+        ["eig", "--two-alpha", "1.6", "--n", "1024"],
+        ["eig", "--two-alpha", "1.6", "--n", "511", "--vectors"],
+        ["eig", "--two-alpha", "2", "--n", "2048"],
+        ["eig", "--two-alpha", "4", "--n", "1024", "--vectors"],
+        ["weyl", "--two-alpha", "1.2", "--n", "1024"],
+    ]
     unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     report = _fresh_run(argvs, **unset)
-    assert report == {"codes": [0], "scipy": [], "deferred": ["concurrent.futures"]}
+    assert report == {"codes": [0] * len(argvs), "scipy": [], "deferred": []}
 
 
 def test_no_blas_hook_solves_in_turn_without_concurrent_futures():
