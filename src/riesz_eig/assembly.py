@@ -14,20 +14,20 @@ difference.  ``Q`` and ``U`` are Pochhammer ratios, compensated running
 products from ``specfun``, so a block needs no special function beyond the
 three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
-each block is banded, and it is stored as a band at every ``N``; any other
-order stores the dense blocks.  ``eig`` picks its LAPACK drivers from that.
-``assemble_mass`` builds the tables once for both blocks, and large dense
-blocks on two threads.  It and ``mass_entry`` refuse, by name, an order
-whose largest entry ``M_00`` lies below the smallest normal double, so that
-every entry underflows.
+each block is banded, and it is built as a band at every ``N``; any other
+order builds the dense blocks.  ``MassMatrix.banded`` is that rule, and
+``eig`` picks its LAPACK drivers from it.  ``assemble_mass`` builds the
+tables once for both blocks and no block: a block is built when it is read,
+or by the solve on the thread that solves it.  It and ``mass_entry`` refuse,
+by name, an order whose largest entry ``M_00`` lies below the smallest
+normal double, so that every entry underflows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,51 +38,57 @@ from .specfun import FractionalOrder, _pochhammer_ratios
 __all__ = ["MassMatrix", "mass_entry", "assemble_mass"]
 
 _TINY = np.finfo(float).tiny
-# Fewest rows of the odd (smaller) block from which the two dense blocks are
-# built concurrently.  Serial/concurrent wall time of the pair's build, 2-core
-# x86_64 VM, median of 41 interleaved runs, 2a = 1.6, at odd-block rows
-# 256/320/384/448/513/1025: 0.85/0.91/1.04/1.19/1.29/1.65.  A band is built in
-# microseconds, always in turn.
-_CONCURRENT_BUILD_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
 class MassMatrix:
-    """Symmetric positive-definite mass matrix, stored as its two parity blocks.
+    """Symmetric positive-definite mass matrix, in closed form; its parity blocks on request.
 
     Block ``p`` (0 ``even``, 1 ``odd``) holds the degrees ``p::2``, so it is
-    ``entries[p::2, p::2]``.  For integer ``alpha`` (``banded``), each
-    block has ``w = min(alpha, size - 1)`` superdiagonals, stored in LAPACK
-    upper-band storage, ``band[w + r - c, c] = block[r, c]``.  Otherwise the
-    fields hold the dense blocks.  ``entries`` is the one dense view of the
-    whole matrix, built on first access; from bands it evaluates the dense
-    blocks by ``_dense_block``, bit for bit the entries of the band.
+    ``entries[p::2, p::2]``.  ``tables`` holds the factors of every entry
+    (``_entry_tables``).  For integer ``alpha`` (``banded``), each block has
+    ``w = min(alpha, size - 1)`` superdiagonals, stored in LAPACK upper-band
+    storage, ``band[w + r - c, c] = block[r, c]``; otherwise a block is
+    dense.  ``even``, ``odd`` and ``entries``, the one dense view of the
+    whole matrix, are built on first access and read-only; ``entries``
+    evaluates the dense blocks, bit for bit the entries of the bands.
     """
 
     order: FractionalOrder
     n_max: int
-    even: np.ndarray
-    odd: np.ndarray
+    tables: tuple = field(repr=False)
 
     @property
     def banded(self) -> bool:
         return self.order.alpha.is_integer()
 
-    def _dense_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks as dense arrays: the stored ones, or evaluated from bands."""
-        if not self.banded:
-            return self.even, self.odd
-        tables = _entry_tables(self.order.alpha, self.n_max)
-        return tuple(_dense_block(tables, np.arange(p, self.n_max + 1, 2)) for p in (0, 1))
+    def _block(self, p: int, dense: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+        """A new, writable block ``p``: a band where ``banded`` unless ``dense``, else ``out``."""
+        indices = np.arange(p, self.n_max + 1, 2)
+        if self.banded and not dense:
+            return _band_block(self.tables, int(self.order.alpha), indices)
+        return _dense_block(self.tables, indices, out)
+
+    @cached_property
+    def even(self) -> np.ndarray:
+        return _read_only(self._block(0))
+
+    @cached_property
+    def odd(self) -> np.ndarray:
+        return _read_only(self._block(1))
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The full ``(n_max+1)^2`` matrix, composed from the blocks (read-only)."""
+        """The full ``(n_max+1)^2`` matrix, each dense block built into place (read-only)."""
         full = np.zeros((self.n_max + 1, self.n_max + 1))
-        for p, block in enumerate(self._dense_blocks()):
-            full[p::2, p::2] = block
-        full.setflags(write=False)
-        return full
+        for p in (0, 1):
+            self._block(p, dense=True, out=full[p::2, p::2])
+        return _read_only(full)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _entry_tables(alpha: float, m_max: int):
@@ -164,7 +170,6 @@ def _dense_block(tables, indices: np.ndarray, out: np.ndarray | None = None) -> 
     block *= k
     block *= hankel
     block *= toeplitz
-    block.setflags(write=False)
     return block
 
 
@@ -174,65 +179,23 @@ def _band_block(tables, width: int, indices: np.ndarray) -> np.ndarray:
     offset = np.arange(w, -1, -1)[:, None]  # the superdiagonal each storage row holds
     col = np.arange(indices.size)
     row = np.maximum(col - offset, 0)
-    band = np.where(col >= offset, _entry_values(tables, indices[row], indices[col]), 0.0)
-    band.setflags(write=False)
-    return band
+    return np.where(col >= offset, _entry_values(tables, indices[row], indices[col]), 0.0)
 
 
 def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:
-    """Assemble the even and odd parity blocks of the mass matrix.
+    """The mass matrix at basis degree ``n_max``, in closed form: its tables, and no block yet.
 
     A dense block is the elementwise product of the per-index outer product,
     a Hankel view of ``Q`` and a Toeplitz view of ``U``, built in O(N^2)
     flops with no per-entry special function.  For integer ``alpha`` only
     the band is evaluated and stored, O(N alpha) entries.  The odd-sum
-    entries between the blocks are exact zeros and are not stored.  Dense
-    blocks whose odd block has ``_CONCURRENT_BUILD_ROWS`` rows or more are
-    built concurrently, the odd one on a helper thread (``_on_two_threads``);
-    the bits are the same either way.  An order whose largest entry ``M_00``
-    lies below the smallest normal double raises a ``ValueError`` naming
-    ``2a`` and ``N``: every entry underflows.
+    entries between the blocks are exact zeros and are not stored.  A block
+    is built when it is first read, so a matrix too large for memory fails
+    there.  A negative degree, and an order whose largest entry ``M_00``
+    lies below the smallest normal double (every entry underflows), raise a
+    ``ValueError`` here, the second naming ``2a`` and ``N``.
     """
     n_max = operator.index(n_max)
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
-    tables = _entry_tables(order.alpha, n_max)
-    indices = [np.arange(p, n_max + 1, 2) for p in (0, 1)]
-    if order.alpha.is_integer():
-        even, odd = (_band_block(tables, int(order.alpha), i) for i in indices)
-    elif indices[1].size < _CONCURRENT_BUILD_ROWS:
-        even, odd = (_dense_block(tables, i) for i in indices)
-    else:
-        # Allocated on this thread, filled on two: a block that the helper
-        # allocated would come from its own malloc arena, which keeps the
-        # pages once the block is freed (3.4 MB more peak RSS in solve_warm).
-        blocks = [np.empty((i.size, i.size)) for i in indices]
-        even, odd = _on_two_threads(lambda p: _dense_block(tables, indices[p], blocks[p]))
-    return MassMatrix(order, n_max, even, odd)
-
-
-def _on_two_threads(job):
-    """``[job(0), job(1)]``, with ``job(1)`` run on a helper thread meanwhile.
-
-    The helper hands back its result or what it raised, and the helper is
-    joined before anything is raised: an exception of ``job(0)`` first, then
-    the helper's.  ``job`` should release the GIL for most of its time (large
-    numpy or LAPACK calls), or the two threads only take turns.
-    """
-    odd = []  # the helper's result, or what it raised
-
-    def run():
-        try:
-            odd.append(job(1))
-        except BaseException as exc:  # raised again on the calling thread, after the join
-            odd.append(exc)
-
-    helper = threading.Thread(target=run, name="riesz-eig-odd-block")
-    helper.start()
-    try:
-        even = job(0)
-    finally:
-        helper.join()
-    if isinstance(odd[0], BaseException):
-        raise odd[0]
-    return [even, odd[0]]
+    return MassMatrix(order, n_max, _entry_tables(order.alpha, n_max))

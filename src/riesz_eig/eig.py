@@ -5,8 +5,8 @@ standard symmetric problem ``M c = mu c`` with ``lambda = 1/mu``.  Solving for
 ``mu`` and inverting means the physically dominant small eigenvalues come from
 the best-conditioned (largest) ``mu``.  The two parity blocks are solved
 independently (``_block_spectra``, which picks the driver and the schedule:
-the pair runs on two threads once the odd block has ``_CONCURRENT_MIN_ROWS``
-rows) and merged: dense blocks with LAPACK ``syevd``, in place, and bands
+the pair is built and solved on two threads from ``_CONCURRENT_MIN_ROWS``
+odd rows) and merged: dense blocks with LAPACK ``syevd``, in place, and bands
 with ``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
 ``ctypes``, so numpy is the one library the package loads; numpy's
 ``eigvalsh`` and ``eigh`` serve only where that wheel holds no OpenBLAS.  The
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import _on_two_threads, assemble_mass
+from .assembly import assemble_mass
 from .specfun import FractionalOrder, _basis_scales, _boundary_weight, _jacobi_all
 
 __all__ = ["EigenSolution", "solve", "eval_eigenfunction"]
@@ -36,10 +36,11 @@ __all__ = ["EigenSolution", "solve", "eval_eigenfunction"]
 _PARITIES = ("even", "odd")
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Fewest rows of the odd (smaller) block from which the pair is solved
-# concurrently when BLAS is pinned to one thread.  Serial/concurrent wall time
-# of _block_spectra (its assemble_mass call included), BLAS pinned, 2-core
-# x86_64 VM, median of 41 interleaved runs, at odd-block rows
+# Fewest rows of the odd (smaller) block from which the pair is built and
+# solved concurrently when BLAS is pinned to one thread.  Serial/concurrent
+# wall time of _block_spectra, BLAS pinned, 2-core x86_64 VM, median of 41
+# interleaved runs, measured while its assemble_mass call built both blocks
+# before the threads started, at odd-block rows
 # 64/96/128/160/192/256/513:
 #   dense syevd values   0.78/0.94/1.03/1.26/1.33/1.41/1.53 (2a = 1.6)
 #   dense syevd vectors  1.14/1.34/1.33/1.48/1.55/1.70/1.75
@@ -283,35 +284,33 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     of the diagonally scaled block): the small eigenvalues are accurate only
     while that is small.  Every spectrum passes ``_check_block_mu``.
 
-    The blocks come from one ``assemble_mass`` call (large dense blocks
-    built on two threads).  The drivers run on OpenBLAS pinned to one thread
-    (``_one_blas_thread``).  Where the pin holds and the odd block has at
-    least ``_CONCURRENT_MIN_ROWS`` rows, the pair is solved concurrently,
-    bands and dense blocks alike, the odd one on a helper thread
-    (``assembly._on_two_threads``; LAPACK releases the GIL); otherwise in
-    turn, and no bit moves.  The helper is joined before anything is raised,
-    and when both blocks fail, the even block's error is raised.  The
-    assembled matrix is released on return, so a caller that scatters the
-    vectors never holds it beside them.
+    The blocks come from one ``assemble_mass`` call, and each is built
+    (``MassMatrix._block``) inside the job that solves it; the solve owns
+    it, and lets go of it once its spectrum is taken.  The drivers run on
+    OpenBLAS pinned to one thread (``_one_blas_thread``).  Where the pin
+    holds and the odd block has at least ``_CONCURRENT_MIN_ROWS`` rows, the
+    pair is built and solved concurrently, bands and dense blocks alike, the
+    odd one on a helper thread (``_on_two_threads``; numpy and LAPACK release
+    the GIL); otherwise in turn, and no bit moves.  The helper is joined
+    before anything is raised, and when both blocks fail, the even block's
+    error is raised.
     """
     mass = assemble_mass(order, n_max)
-    if _openblas() is None:
-        blocks, driver = mass._dense_blocks(), np.linalg.eigh if vectors else np.linalg.eigvalsh
+    dense = _openblas() is None  # numpy's dense drivers, for bands too
+    if dense:
+        driver = np.linalg.eigh if vectors else np.linalg.eigvalsh
     else:
-        blocks = mass.even, mass.odd
         driver = partial(_sbevd if mass.banded else _syevd, vectors=vectors)
-        if not mass.banded:  # the blocks of this call alone, which syevd overwrites
-            for block in blocks:
-                block.setflags(write=True)
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:
         lost = "the eigensolver has lost the small end of this graded block"
+    out = {}  # a dense block allocated on this thread for the job that builds it
 
     def spectrum(p):
         tag = _PARITIES[p]
         try:
-            result = driver(blocks[p])
+            result = driver(mass._block(p, dense, out.pop(p, None)))
         except np.linalg.LinAlgError as exc:
             where = f"N={n_max}, 2a={order.two_alpha:g}"
             raise RuntimeError(f"the {tag} block's eigensolve failed ({where}): {exc}") from exc
@@ -322,8 +321,40 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     odd_rows = (n_max + 1) // 2
     with _one_blas_thread() as pinned:
         if pinned and odd_rows >= _CONCURRENT_MIN_ROWS:
+            if not mass.banded:
+                # A dense block that the helper allocated would come from its
+                # own malloc arena, which keeps the pages once the block is
+                # freed (3.4 MB more peak RSS in solve_warm).
+                out[1] = np.empty((odd_rows, odd_rows))
             return _on_two_threads(spectrum)
         return [spectrum(p) for p in range(2 if odd_rows else 1)]
+
+
+def _on_two_threads(job):
+    """``[job(0), job(1)]``, with ``job(1)`` run on a helper thread meanwhile.
+
+    The helper hands back its result or what it raised, and the helper is
+    joined before anything is raised: an exception of ``job(0)`` first, then
+    the helper's.  ``job`` should release the GIL for most of its time (large
+    numpy or LAPACK calls), or the two threads only take turns.
+    """
+    odd = []  # the helper's result, or what it raised
+
+    def run():
+        try:
+            odd.append(job(1))
+        except BaseException as exc:  # raised again on the calling thread, after the join
+            odd.append(exc)
+
+    helper = threading.Thread(target=run, name="riesz-eig-odd-block")
+    helper.start()
+    try:
+        even = job(0)
+    finally:
+        helper.join()
+    if isinstance(odd[0], BaseException):
+        raise odd[0]
+    return [even, odd[0]]
 
 
 def solve(order: FractionalOrder, n_max: int) -> EigenSolution:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import riesz_eig.assembly
-from riesz_eig.assembly import _entry_tables, assemble_mass, mass_entry
+import riesz_eig.eig
+from riesz_eig.assembly import MassMatrix, _entry_tables, assemble_mass, mass_entry
 from riesz_eig.eig import solve
 from riesz_eig.quadrature import oracle_mass_entry, stiffness_check
 from riesz_eig.specfun import FractionalOrder
@@ -48,6 +49,8 @@ def test_assemble_smallest_cases():
     m1 = assemble_mass(order, 1)
     assert m1.entries[0, 1] == 0.0 and m1.entries[1, 0] == 0.0
     assert math.isclose(m1.entries[1, 1], oracle_mass_entry(order, 1, 1), rel_tol=1e-13)
+    with pytest.raises(ValueError, match="basis degree must be nonnegative, got -1"):
+        assemble_mass(order, -1)  # at the call, with no block to read
 
 
 @pytest.mark.parametrize("two_alpha", [0.5, 1.3, 2.0, 5.6])
@@ -60,10 +63,10 @@ def test_mass_matrix_structure(two_alpha):
     idx = np.arange(22)
     odd_sum = (idx[:, None] + idx[None, :]) % 2 == 1
     assert np.all(m[odd_sum] == 0.0)
-    # the dense parity blocks, stored or evaluated from the bands of integer
-    # alpha, are the right entries
+    # the dense parity blocks, of every order, the bands of integer alpha
+    # included, are the right entries
     assert mass.banded is (two_alpha == 2.0)
-    even, odd = mass._dense_blocks()
+    even, odd = (mass._block(p, dense=True) for p in (0, 1))
     np.testing.assert_array_equal(even, m[np.ix_(idx[::2], idx[::2])])
     np.testing.assert_array_equal(odd, m[np.ix_(idx[1::2], idx[1::2])])
     # positive definiteness, blockwise
@@ -79,7 +82,8 @@ def test_dense_blocks_are_exactly_symmetric(two_alpha, n_max):
     # of integer alpha too where numpy's wheel holds no OpenBLAS: the outer
     # product, the Hankel view and the Toeplitz view are each symmetric
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    for block in mass._dense_blocks():
+    for p in (0, 1):
+        block = mass._block(p, dense=True)
         assert np.array_equal(block, block.T)
 
 
@@ -112,15 +116,38 @@ def test_banded_mass_holds_only_the_band():
     (4.0, 3, True), (4.0, 4, True), (6.0, 4, True),  # bands at every degree
     (1.6, 2048, False), (2.1, 8, False),  # non-integer alpha
 ])
-def test_storage_rule_at_its_edges(two_alpha, n_max, banded):
+def test_storage_rule_at_its_edges(monkeypatch, two_alpha, n_max, banded):
     # both blocks share one stored form: for integer alpha bands of
     # min(alpha, size - 1) superdiagonals (an empty block a band of shape
-    # (1, 0)), otherwise the dense blocks
-    mass = assemble_mass(FractionalOrder(two_alpha), n_max)
+    # (1, 0)), otherwise the dense blocks.  Each is built on its first read,
+    # read-only and the same object after it, and holds the bits of the block
+    # that the solve builds for itself
+    order = FractionalOrder(two_alpha)
+    mass = assemble_mass(order, n_max)
     assert mass.banded is banded
-    for stored, size in ((mass.even, n_max // 2 + 1), (mass.odd, (n_max + 1) // 2)):
+    assert {"even", "odd", "entries"}.isdisjoint(vars(mass))
+    solved = {}
+    build = MassMatrix._block
+
+    def copying_build(self, p, *args, **kwargs):
+        block = build(self, p, *args, **kwargs)
+        solved[p] = np.array(block)  # before the driver overwrites it
+        return block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MassMatrix, "_block", copying_build)
+        solve(order, n_max)
+    assert sorted(solved) == ([0, 1] if n_max else [0])
+    dense = riesz_eig.eig._openblas() is None  # the solve then builds the bands dense
+    for p, (name, size) in enumerate((("even", n_max // 2 + 1), ("odd", (n_max + 1) // 2))):
+        stored = getattr(mass, name)
         rows = min(int(two_alpha / 2), max(size - 1, 0)) + 1 if banded else size
         assert stored.shape == (rows, size)
+        assert not stored.flags.writeable and getattr(mass, name) is stored
+        if p in solved:
+            expected = mass.entries[p::2, p::2] if dense else stored
+            np.testing.assert_array_equal(solved[p], expected)
+            np.testing.assert_array_equal(np.signbit(solved[p]), np.signbit(expected))
 
 
 def test_solve_builds_the_entry_tables_once(monkeypatch):
@@ -174,7 +201,8 @@ def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
     (1.7e308, 3, "every entry of the mass matrix underflows"),
 ])
 def test_unrepresentable_mass_matrix_is_named(two_alpha, n_max, cause):
-    # refused once, from K and h_0, before any table or block is built: past
+    # refused once, at the call, from K and h_0, before any table or block is
+    # built: past
     # 2a of about 1.3e300 the Q and U shifts would pass specfun._SPLIT_MAX, and
     # past about 2.5e305 lgamma overflows; no warning or OverflowError on the
     # way.  mass_entry refuses alike, naming the smallest N whose matrix holds

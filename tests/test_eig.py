@@ -576,8 +576,39 @@ def blas_at_two_threads():
     openblas.set_threads(before)
 
 
+def _recording_builds(monkeypatch, fails=(), last=None):
+    """Record each ``MassMatrix._block`` call as ``(p, thread, weakref to the block)``.
+
+    The ``last`` block's build sleeps first, and those in ``fails`` then
+    raise ``MemoryError``, recorded with no weakref.
+    """
+    builds = []
+    build = riesz_eig.assembly.MassMatrix._block
+
+    def recording(mass, p, *args, **kwargs):
+        tag = ("even", "odd")[p]
+        if tag == last:
+            time.sleep(0.2)
+        if tag in fails:
+            builds.append((p, threading.current_thread(), None))
+            raise MemoryError(f"no room for the {tag} block")
+        block = build(mass, p, *args, **kwargs)
+        builds.append((p, threading.current_thread(), weakref.ref(block)))
+        return block
+
+    monkeypatch.setattr(riesz_eig.assembly.MassMatrix, "_block", recording)
+    return builds
+
+
+def _on_helper(builds):
+    """``(tag, built on a helper thread)`` for each recorded build, sorted."""
+    return sorted((("even", "odd")[p], thread is not threading.main_thread())
+                  for p, thread, _ in builds)
+
+
 # Both sides of the concurrency cutoff: the odd block has 255 rows at N = 510
-# and 256 rows, _CONCURRENT_MIN_ROWS, at N = 511.
+# and 256 rows, _CONCURRENT_MIN_ROWS, at N = 511.  Each block is built once,
+# on the thread that solves it, and let go of before the solve returns.
 @pytest.mark.parametrize("two_alpha, n_max, vectors, hooked, concurrent", [
     pytest.param(1.6, 511, False, True, True, id="dense-values-at-cutoff", marks=needs_openblas),
     pytest.param(1.6, 510, False, True, False, id="dense-values-below"),
@@ -589,16 +620,19 @@ def blas_at_two_threads():
     pytest.param(2.0, 510, True, True, False, id="band-vectors-below"),
     # no OpenBLAS to pin: large blocks in turn
     pytest.param(1.6, 1024, False, False, False, id="no-openblas"),
+    pytest.param(1.6, 0, True, True, False, id="empty-odd-block"),
 ])
 def test_blocks_run_concurrently_only_when_pinned_and_large(
     monkeypatch, two_alpha, n_max, vectors, hooked, concurrent
 ):
-    helper_calls = []
+    builds = _recording_builds(monkeypatch)
+    solves = []  # (p, thread) of each driver call, p that of the build it was handed
 
     def recording(driver):
-        def run(*args, **kwargs):
-            helper_calls.append(threading.current_thread() is not threading.main_thread())
-            return driver(*args, **kwargs)
+        def run(block, *args, **kwargs):
+            [p] = [p for p, _, ref in builds if ref() is block]
+            solves.append((p, threading.current_thread()))
+            return driver(block, *args, **kwargs)
         return run
 
     for namespace, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (riesz_eig.eig, "_syevd"),
@@ -606,61 +640,24 @@ def test_blocks_run_concurrently_only_when_pinned_and_large(
         monkeypatch.setattr(namespace, name, recording(getattr(namespace, name)))
     if not hooked:
         _no_openblas(monkeypatch)
-    riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
-    assert sorted(helper_calls) == ([False, True] if concurrent else [False, False])
-
-
-def _recording_builds(monkeypatch, fails=(), last="odd"):
-    """Record which blocks ``assemble_mass`` builds on a helper thread.
-
-    The returned list gets ``(tag, on_helper)`` for each block built; the
-    ``last`` block's builder sleeps first, and those in ``fails`` then raise
-    ``MemoryError``.
-    """
-    builds = []
-    for name, at in (("_dense_block", 1), ("_band_block", 2)):  # where the degrees are passed
-        def build(*args, builder=getattr(riesz_eig.assembly, name), at=at):
-            tag = ("even", "odd")[int(args[at][0]) % 2]
-            builds.append((tag, threading.current_thread() is not threading.main_thread()))
-            if tag == last:
-                time.sleep(0.2)
-            if tag in fails:
-                raise MemoryError(f"no room for the {tag} block")
-            return builder(*args)
-
-        monkeypatch.setattr(riesz_eig.assembly, name, build)
-    return builds
-
-
-# Both sides of the build cutoff: the odd block has 511 rows at N = 1022 and
-# 512 rows, _CONCURRENT_BUILD_ROWS, at N = 1023.  Bands are built in turn.
-@pytest.mark.parametrize("two_alpha, n_max, concurrent", [
-    (1.6, 1023, True), (1.6, 1022, False), (2.0, 1023, False), (2.0, 2048, False),
-])
-def test_dense_blocks_are_built_concurrently_only_when_large(
-    monkeypatch, two_alpha, n_max, concurrent
-):
-    builds = _recording_builds(monkeypatch, last=None)
-    concurrent_mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    assert sorted(builds) == [("even", False), ("odd", concurrent)]
-    monkeypatch.setattr(riesz_eig.assembly, "_CONCURRENT_BUILD_ROWS", n_max + 1)
-    serial_mass = assemble_mass(FractionalOrder(two_alpha), n_max)
-    for p in ("even", "odd"):
-        np.testing.assert_array_equal(getattr(concurrent_mass, p), getattr(serial_mass, p))
-        assert not getattr(concurrent_mass, p).flags.writeable
+    spectra = riesz_eig.eig._block_spectra(FractionalOrder(two_alpha), n_max, vectors)
+    assert sorted(p for p, *_ in builds) == ([0, 1] if n_max else [0])
+    assert sorted(solves, key=lambda s: s[0]) == sorted([b[:2] for b in builds], key=lambda b: b[0])
+    assert _on_helper(builds) == [("even", False), ("odd", concurrent)][:len(builds)]
+    for p, _, ref in builds:
+        # released, or held only as the memory of the vectors syevd wrote into it
+        assert ref() is None or (vectors and ref() is spectra[p][2].base)
 
 
 @needs_openblas
 @pytest.mark.parametrize("two_alpha", [1.6, 3.6, 2.0, 4.0])
 def test_concurrent_blocks_equal_serial_bits(monkeypatch, two_alpha):
     # both schedules on the same driver at one BLAS thread, the serial one with
-    # the cutoffs of the solve and of the build out of reach; at N = 1024 and
-    # at the solve's cutoff itself (N = 511)
+    # the cutoff out of reach; at N = 1024 and at the cutoff itself (N = 511)
     order = FractionalOrder(two_alpha)
     for n_max in (1024, 511):
         with monkeypatch.context() as patch:
             patch.setattr(riesz_eig.eig, "_CONCURRENT_MIN_ROWS", n_max + 1)
-            patch.setattr(riesz_eig.assembly, "_CONCURRENT_BUILD_ROWS", n_max + 1)
             serial = solve(order, n_max)
             serial_vectors = serial.vectors
         concurrent = solve(order, n_max)
@@ -804,13 +801,13 @@ def test_concurrent_solve_raises_in_even_odd_order_and_joins(monkeypatch, failin
         assert f"-1.000e-21 in the {named} block (N=1024, 2a={two_alpha:g})" in str(exc.value)
         assert threading.active_count() == threads
 
-    # the dense blocks' builders run out of memory, the odd one on the helper
-    # thread and last
-    builds = _recording_builds(monkeypatch, fails=failing)
+    # the dense blocks' builds run out of memory inside the jobs that solve
+    # them, the odd one on the helper thread and last
+    builds = _recording_builds(monkeypatch, fails=failing, last="odd")
     threads = threading.active_count()
     with pytest.raises(MemoryError, match=f"no room for the {named} block"):
         solve(FractionalOrder(1.6), 1024)
-    assert sorted(builds) == [("even", False), ("odd", True)]
+    assert _on_helper(builds) == [("even", False), ("odd", True)]
     assert threading.active_count() == threads
 
 
@@ -846,7 +843,7 @@ def test_driver_failure_names_the_block(monkeypatch, module, driver, two_alpha, 
 def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
     # at N = 1024 the even block has 513 rows and the odd one 512; the odd
     # block fails first, on the helper thread: in a dense driver, in a banded
-    # one, or in its builder, which assemble_mass runs before either solve
+    # one, or in its build, inside the job that solves it
     def failing_driver(block, vectors):
         rows = block.shape[1]
         if rows == 513:
@@ -869,7 +866,7 @@ def test_concurrent_driver_failures_raise_the_even_block(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(MemoryError, match="no room for the even block"):
         solve(FractionalOrder(1.6), 1024)
-    assert sorted(builds) == [("even", False), ("odd", True)]
+    assert _on_helper(builds) == [("even", False), ("odd", True)]
     assert threading.active_count() == threads
 
 

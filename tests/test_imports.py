@@ -6,8 +6,9 @@ where that wheel holds none, with numpy's dense drivers.  SciPy is a test
 dependency only: the tests use it as an independent oracle.
 
 ``concurrent.futures`` and ``mpmath`` stay out of every command too: the
-concurrent block build and solve start their helper as a bare
-``threading.Thread``, and nothing in the package loads the second.
+concurrent block solve starts its helper as a bare ``threading.Thread``, and
+nothing in the package loads the second.  The import itself starts no thread
+and looks up no LAPACK.
 
 Each case runs in a fresh interpreter: this process may already hold SciPy, so
 ``sys.modules`` here says nothing about what the package loads by itself.
@@ -82,6 +83,17 @@ def test_import_loads_no_scipy():
     assert _fresh_run([]) == {"codes": [], "scipy": [], "deferred": []}
 
 
+def test_import_starts_no_thread_and_looks_up_no_lapack():
+    # the import does no work that a call does not need: the helper thread of
+    # the concurrent solve and the OpenBLAS lookup wait for the first solve
+    setup = (
+        "import threading, riesz_eig.eig\n"
+        "if threading.active_count() != 1 or riesz_eig.eig._openblas.cache_info().currsize:\n"
+        "    sys.exit('the import started a thread or looked up LAPACK')\n"
+    )
+    assert _fresh_run([], setup) == {"codes": [], "scipy": [], "deferred": []}
+
+
 def test_dense_and_small_tridiagonal_commands_load_no_scipy():
     # dense orders and small bands
     argvs = [
@@ -121,9 +133,8 @@ def test_banded_commands_load_no_scipy():
 
 def test_concurrent_block_solves_load_no_concurrent_futures():
     # dense and banded blocks from the cutoff's 256 odd rows up, with and
-    # without vectors, solved concurrently whatever the thread setting of the
-    # environment, and dense blocks of 512 odd rows built concurrently: the
-    # helper is a bare thread
+    # without vectors, built and solved concurrently whatever the thread
+    # setting of the environment: the helper is a bare thread
     argvs = [
         ["eig", "--two-alpha", "1.6", "--n", "1024"],
         ["eig", "--two-alpha", "1.6", "--n", "511", "--vectors"],

@@ -21,10 +21,10 @@ The argvs are the ``cli_studies`` and ``cli_dumps`` operations that this
 repository's ``bench/workloads.build`` gives for seeds 0-2, followed by
 corner cases: the empty odd block, bands of integer ``alpha`` from the
 smallest degrees up, with and without vectors, dense vectors from the
-smallest degrees up, both sides of the concurrency cutoffs (``eig``'s
-``_CONCURRENT_MIN_ROWS`` on dense blocks and on bands, and ``assembly``'s
-``_CONCURRENT_BUILD_ROWS`` on dense blocks), a quadrature cross-check on a
-rule of hundreds of nodes, and the named refusals.
+smallest degrees up, both sides of the concurrency cutoff (``eig``'s
+``_CONCURRENT_MIN_ROWS``, dense blocks and bands), dense pairs built and
+solved on two threads, a quadrature cross-check on a rule of hundreds of
+nodes, and the named refusals.
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ CORNERS = (
     *(("eig", "--two-alpha", "2", "--n", n) for n in ("0", "1", "1022", "1023", "1024")),
     *(("eig", "--two-alpha", "2", "--n", n, "--vectors") for n in ("0", "1", "1023")),
     ("eig", "--two-alpha", "2", "--n", "1022", "--vectors", "--format", "json"),
-    # dense vectors, and both sides of the build cutoff: an odd block of 511
-    # rows at N = 1022 and of 512 at N = 1023
+    # dense vectors from the empty odd block up to odd blocks of 511 and 512 rows
     *(("eig", "--two-alpha", "1.6", "--n", n, "--vectors") for n in ("0", "1022", "1023")),
-    ("mass", "--two-alpha", "1.6", "--n", "1023"),
+    ("mass", "--two-alpha", "1.6", "--n", "1023"),  # entries builds its blocks in turn
+    # dense pairs of 256-511 odd rows, built on two threads
+    ("eig", "--two-alpha", "3.6", "--n", "700", "--vectors"),
+    ("eig", "--two-alpha", "1.6", "--n", "700"),
     # both sides of the concurrency cutoff: an odd block of 255 rows at N = 510
     # and of 256 at N = 511, dense and banded, with and without vectors
     *(("eig", "--two-alpha", a, "--n", n, *v) for a in ("1.6", "2") for n in ("510", "511")
