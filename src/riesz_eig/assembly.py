@@ -51,7 +51,9 @@ class MassMatrix:
     storage, ``band[w + r - c, c] = block[r, c]``; otherwise a block is
     dense.  ``even``, ``odd`` and ``entries``, the one dense view of the
     whole matrix, are built on first access and read-only; ``entries``
-    evaluates the dense blocks, bit for bit the entries of the bands.
+    evaluates the dense blocks, bit for bit the entries of the bands.  Only
+    ``entries`` forms an ``(N+1)^2`` array, for library readers: the solve
+    and the CLI's ``mass`` dump build the blocks alone (``_block``).
     """
 
     order: FractionalOrder

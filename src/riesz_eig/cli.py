@@ -51,25 +51,23 @@ def _fmt_row(values, sep: str = ",") -> str:
     return sep.join(["%.17g"] * len(row)) % tuple(row)
 
 
-def _parity_rows(matrix, parities, sep: str = ",") -> Iterator[str]:
-    """``_fmt_row(row, sep)`` for each row of ``matrix``, formatting half of it.
+def _parity_rows(rows, width: int, sep: str = ",") -> Iterator[str]:
+    """``_fmt_row(row, sep)`` for each full row of ``width`` cells, formatted from its block.
 
-    ``parities`` tags each row ``"even"`` or ``"odd"``: only the columns of
-    that parity are formatted.  The other columns of the row must hold zeros
-    of one sign, that of the first of them, and are written as the literal
-    ``0`` or ``-0`` that ``%.17g`` prints for it.
+    ``rows`` yields ``(p, values, negative)``: the row's cells on the
+    degrees ``p::2`` are ``values``, a row of parity block ``p``, and its
+    other cells are zeros, written as the literal ``-0`` if ``negative``
+    else ``0``, as ``%.17g`` prints them.  Only the block rows are read, so
+    the full ``width``-square matrix is never formed.
     """
-    width = matrix.shape[1]
     templates = {}
-    for row, parity in zip(matrix, parities):
-        start = 1 if parity == "odd" else 0
-        negative = 1 - start < width and bool(np.signbit(row[1 - start]))
-        template = templates.get((start, negative))
+    for p, values, negative in rows:
+        template = templates.get((p, negative))
         if template is None:
             cells = ["%.17g"] * width
-            cells[1 - start::2] = ["-0" if negative else "0"] * len(cells[1 - start::2])
-            template = templates[start, negative] = sep.join(cells)
-        yield template % tuple(row[start::2].tolist())
+            cells[1 - p::2] = ["-0" if negative else "0"] * len(cells[1 - p::2])
+            template = templates[p, negative] = sep.join(cells)
+        yield template % tuple(values.tolist())
 
 
 def _atomic_write(path: str, lines: Iterable[str]) -> None:
@@ -115,6 +113,7 @@ def _write(args: argparse.Namespace, lines: Iterator[str]) -> None:
     lines = itertools.chain([next(lines)], lines)
     if args.output is None:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
     else:
         _atomic_write(args.output, lines)
 
@@ -140,7 +139,8 @@ def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
     """Eigenvalues (optionally with coefficient vectors) for one (2 alpha, N) pair."""
     sol = solve(args.order, args.n)
     report = analysis.spectrum_report(sol) if args.format == "json" else None
-    vectors = sol.vectors if args.vectors else None
+    # the vectors of each parity block, row by row: the (N+1)^2 matrix is never formed
+    vectors = sol._vector_rows() if args.vectors else None
     if args.format == "json":
         fields = [
             f'"schema": "{SCHEMA}"',
@@ -155,7 +155,7 @@ def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
             yield "{" + ", ".join(fields) + "}\n"
             return
         yield "{" + ", ".join(fields) + ', "vectors": ['
-        for i, row in enumerate(_parity_rows(vectors, sol.parities, ", ")):
+        for i, row in enumerate(_parity_rows(vectors, args.n + 1, ", ")):
             yield (", [" if i else "[") + row + "]"
         yield "]}\n"
         return
@@ -163,7 +163,7 @@ def cmd_eig(args: argparse.Namespace) -> Iterator[str]:
     rows = (f"{i + 1},{_fmt(lam)}" for i, lam in enumerate(sol.lambdas.tolist()))
     if vectors is not None:
         header += [f"c{j}" for j in range(args.n + 1)]
-        rows = (f"{row},{vec}" for row, vec in zip(rows, _parity_rows(vectors, sol.parities)))
+        rows = (f"{row},{vec}" for row, vec in zip(rows, _parity_rows(vectors, args.n + 1)))
     yield from _csv_lines(header, rows)
 
 
@@ -208,12 +208,29 @@ def cmd_eigfun(args: argparse.Namespace) -> Iterator[str]:
 
 
 def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
-    """Dump the full mass matrix; optionally cross-check it against the oracle."""
+    """Dump the full mass matrix; optionally cross-check it against the oracle.
+
+    Row ``i`` is formatted from row ``i // 2`` of the dense parity block
+    ``i % 2``, and its other cells are the exact zeros between the blocks,
+    so the ``(N+1)^2`` matrix ``MassMatrix.entries`` is never formed; only
+    ``--verify-oracle`` holds one such array, the oracle's.  Its deviation
+    is the largest over the upper triangle, taken per block: each block's
+    upper triangle against the oracle's, and the cross-parity entries above
+    the diagonal against exact 0.
+    """
     mass = assemble_mass(args.order, args.n)
+    blocks = [mass._block(p, dense=True) for p in (0, 1)]
     if args.verify_oracle:
-        worst = np.max(np.triu(np.abs(mass.entries - oracle_mass_matrix(args.order, args.n))))
+        oracle = oracle_mass_matrix(args.order, args.n)
+        worst = np.max([
+            # cross-parity entry (p + 2r, 1 - p + 2c) lies above the diagonal for c >= r + p
+            np.max(np.triu(np.abs(deviation), k), initial=0.0)
+            for p, block in enumerate(blocks)
+            for deviation, k in ((block - oracle[p::2, p::2], 0), (oracle[p::2, 1 - p::2], p))
+        ])
     header = [f"j{j}" for j in range(args.n + 1)]
-    yield from _csv_lines(header, _parity_rows(mass.entries, itertools.cycle(("even", "odd"))))
+    rows = ((i % 2, blocks[i % 2][i // 2], False) for i in range(args.n + 1))
+    yield from _csv_lines(header, _parity_rows(rows, args.n + 1))
     if args.verify_oracle:
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 
@@ -310,6 +327,11 @@ def main(argv=None) -> int:
     _check_args(parser, args)
     try:
         _write(args, _COMMANDS[args.command](args))
+    except BrokenPipeError:
+        # stdout's reader has gone (``| head``): end quietly, as a filter does, and
+        # point stdout at devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"riesz-eig: error: {exc}\n")
         return 1

@@ -12,7 +12,8 @@ with ``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
 ``eigvalsh`` and ``eigh`` serve only where that wheel holds no OpenBLAS.  The
 same lookup gives ``quadrature`` its tridiagonal ``stevd``.  The spectral
 studies need only the eigenvalues, so ``solve`` computes values alone; the
-coefficient vectors are computed the first time a caller reads them.
+coefficient vectors are computed the first time a caller reads them, and
+kept per parity block.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ class EigenSolution:
     """Ascending eigenvalues; L2-normalized coefficient vectors on first access.
 
     ``parities[i]`` tags the ``i``-th eigenvalue with the parity block it
-    comes from.  ``vectors`` is computed the first time it is read, by a full
-    decomposition of the re-assembled blocks (``syevd`` on dense blocks,
-    which it overwrites with the vectors, ``sbevd`` on bands); it raises
-    ``RuntimeError`` when a driver fails or when that decomposition loses the
-    small end of a graded block.
+    comes from.  The vectors are computed once, the first time any of them is
+    read, by a full decomposition of the re-assembled blocks (``syevd`` on
+    dense blocks, which it overwrites with the vectors, ``sbevd`` on bands);
+    that raises ``RuntimeError`` when a driver fails or when the
+    decomposition loses the small end of a graded block.  They live in the
+    blocks' memory, one row per eigenfunction over the degrees of its parity
+    (``_vector_blocks``); the CLI formats them from there, and
+    ``eval_eigenfunction`` rebuilds only the rows it samples.  Only
+    ``vectors``, for library readers, forms the ``(N+1)^2`` matrix.
     """
 
     order: FractionalOrder
@@ -75,30 +80,67 @@ class EigenSolution:
     parities: tuple[str, ...]
 
     @cached_property
-    def vectors(self) -> np.ndarray:
-        """``vectors[i]`` holds the coefficients of the ``i``-th eigenfunction (read-only).
+    def _vector_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per parity block ``p``, ``(rows, block, flip)``: the vectors of that parity.
 
-        The coefficients are over the normalized basis; entries of the
-        opposite parity are exact zeros.  The largest-magnitude coefficient
-        of each vector is positive, making the output deterministic.
+        ``rows`` holds the ascending indices of the eigenvalues of parity
+        ``p``; ``block[k]`` (read-only, in the memory the driver wrote) the
+        coefficients of eigenfunction ``rows[k]`` on the degrees ``p::2``,
+        scaled by ``1/sqrt(mu)`` and sign-fixed; and ``flip[k]`` whether that
+        row was negated, so that its opposite-parity zeros are ``-0.0``.
         """
         parities = np.array(self.parities)
-        vectors = np.zeros((self.n_max + 1, self.n_max + 1))
-        flip = np.zeros(self.n_max + 1, dtype=bool)
-        for p, (tag, mu, vecs) in enumerate(_block_spectra(self.order, self.n_max, vectors=True)):
+        blocks = []
+        for tag, mu, vecs in _block_spectra(self.order, self.n_max, vectors=True):
             # Within a block the merge keeps the descending-mu order, so the
             # k-th row of this parity takes the k-th vector of the block.
             rows = np.flatnonzero(parities == tag)
             mu, vecs = mu[::-1], vecs[:, ::-1]
             vecs /= np.sqrt(mu)  # in place: the driver's array is ours
             block = vecs.T
-            vectors[rows, p::2] = block
             # deterministic sign: the largest-magnitude coefficient of each row is
             # positive; the opposite-parity zeros cannot be it
-            dominant = block[np.arange(rows.size), np.argmax(np.abs(block), axis=1)]
-            flip[rows] = dominant < 0.0
-        # flip whole rows in place, so a flipped row's opposite-parity zeros are -0.0
-        np.negative(vectors, out=vectors, where=flip[:, None])
+            flip = block[np.arange(rows.size), np.argmax(np.abs(block), axis=1)] < 0.0
+            np.negative(block, out=block, where=flip[:, None])
+            block.setflags(write=False)
+            blocks.append((rows, block, flip))
+        return blocks
+
+    def _vector_rows(self):
+        """``(p, values, flipped)`` for each eigenfunction in order, from ``_vector_blocks``.
+
+        Row ``i`` of ``vectors`` holds ``values`` on the degrees ``p::2`` and
+        zeros of the sign that ``flipped`` gives on the others.  The vectors
+        are computed here, before the first item, so a failing decomposition
+        raises from this call.
+        """
+        blocks = [zip(block, flip.tolist()) for _, block, flip in self._vector_blocks]
+        return ((p, *next(blocks[p])) for p in map(_PARITIES.index, self.parities))
+
+    def _vector(self, i: int) -> np.ndarray:
+        """A new array equal to row ``i`` of ``vectors``, signed zeros included."""
+        p = _PARITIES.index(self.parities[i])
+        rows, block, flip = self._vector_blocks[p]
+        k = np.searchsorted(rows, i)
+        vector = np.full(self.n_max + 1, -0.0 if flip[k] else 0.0)
+        vector[p::2] = block[k]
+        return vector
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """``vectors[i]`` holds the coefficients of the ``i``-th eigenfunction (read-only).
+
+        The coefficients are over the normalized basis; entries of the
+        opposite parity are exact zeros, ``-0.0`` in a row whose sign was
+        flipped.  The largest-magnitude coefficient of each vector is
+        positive, making the output deterministic.  This ``(N+1)^2`` matrix
+        is composed from ``_vector_blocks`` for library readers; nothing in
+        the package reads it.
+        """
+        vectors = np.zeros((self.n_max + 1, self.n_max + 1))
+        for p, (rows, block, flip) in enumerate(self._vector_blocks):
+            vectors[rows, p::2] = block
+            vectors[rows[flip], 1 - p::2] = -0.0
         vectors.setflags(write=False)
         return vectors
 
@@ -284,6 +326,12 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     of the diagonally scaled block): the small eigenvalues are accurate only
     while that is small.  Every spectrum passes ``_check_block_mu``.
 
+    With ``vectors``, each ``vecs`` lives where its driver wrote it: in the
+    dense block's own memory (``syevd``), or in one new array of the block's
+    size (``sbevd``, numpy's ``eigh``).  ``EigenSolution._vector_blocks``
+    keeps those arrays as the solution's vectors; nothing here, nor in the
+    CLI, forms an ``(N+1)^2`` array.
+
     The blocks come from one ``assemble_mass`` call, and each is built
     (``MassMatrix._block``) inside the job that solves it; the solve owns
     it, and lets go of it once its spectrum is taken.  The drivers run on
@@ -383,8 +431,11 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     """Sample the eigenfunctions ``indices`` (1-based) at points in [-1, 1].
 
     Returns an array of shape ``(len(indices), len(xs))``, one row per index.
-    The Jacobi rows, the basis scale and the boundary weight are built once
-    and shared by every index.  Each sample is exactly 0 at ``x = +-1``.
+    The Jacobi rows, an ``(N+1) x len(xs)`` array, the basis scale and the
+    boundary weight are built once and shared by every index.  Each index's
+    coefficient vector is rebuilt at full length from its parity block
+    (``EigenSolution._vector``), so ``sol.vectors``, the ``(N+1)^2`` matrix,
+    is never formed.  Each sample is exactly 0 at ``x = +-1``.
     """
     indices = [operator.index(index) for index in indices]
     for index in indices:
@@ -393,16 +444,16 @@ def eval_eigenfunction(sol: EigenSolution, indices, xs) -> np.ndarray:
     x = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.abs(x) <= 1.0):  # also rejects NaN
         raise ValueError("sample points must lie in [-1, 1]")
-    vectors = sol.vectors
+    vectors = [sol._vector(index - 1) for index in indices]
     alpha = sol.order.alpha
     scale = _basis_scales(sol.order, sol.n_max)
     rows = _jacobi_all(alpha, sol.n_max, x)
     weight = _boundary_weight(alpha, x)
     samples = np.empty((len(indices), x.size))
     with _one_blas_thread():  # the products round as the BLAS thread count splits them
-        for out, index in zip(samples, indices):
+        for out, vector in zip(samples, vectors):
             # one product per index: a stacked product would round differently
-            out[:] = weight * ((vectors[index - 1] * scale) @ rows)
+            out[:] = weight * ((vector * scale) @ rows)
     # normalize the signed zeros the endpoint weight can produce
     samples[:, np.abs(x) == 1.0] = 0.0
     return samples

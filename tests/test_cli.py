@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -13,6 +15,8 @@ from riesz_eig import analysis, cli
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.cli import _fmt, _fmt_row, main
 from riesz_eig.eig import eval_eigenfunction, solve
+from riesz_eig.quadrature import oracle_mass_matrix
+from riesz_eig.specfun import FractionalOrder
 
 
 def run(args):
@@ -264,6 +268,20 @@ def test_mass_verify_oracle(tmp_path, capsys):
     assert float(err.split("=")[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("two_alpha, n_max", [(2.0, 8), (3.6, 9), (1.6, 24)])
+def test_mass_dump_and_deviation_equal_the_full_matrix(tmp_path, capsys, two_alpha, n_max):
+    # both are taken per parity block, and are those of the full matrix: every
+    # entry, and the largest deviation from the oracle above the diagonal
+    out = tmp_path / "mass.csv"
+    assert run(["mass", "--two-alpha", str(two_alpha), "--n", str(n_max), "--verify-oracle",
+                "-o", str(out)]) == 0
+    order = FractionalOrder(two_alpha)
+    entries = assemble_mass(order, n_max).entries
+    worst = np.max(np.triu(np.abs(entries - oracle_mass_matrix(order, n_max))))
+    assert capsys.readouterr().err == f"max_oracle_deviation = {_fmt(worst)}\n"
+    assert read(out).splitlines()[1:] == [_fmt_row(row) for row in entries]
+
+
 def test_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -407,6 +425,38 @@ def test_output_writes_into_fifo(tmp_path, capsys):
     assert received == [expected]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert list(tmp_path.iterdir()) == [fifo]
+
+
+# about 1 MB of CSV, more than a pipe holds, computed in well under a second
+LARGE_DUMP = ["mass", "--two-alpha", "2.0", "--n", "300"]
+
+
+def test_closed_stdout_ends_quietly():
+    # like ``| head -1``: the reader leaves early, and the writer exits 1 with nothing on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen([sys.executable, "-m", "riesz_eig.cli", *LARGE_DUMP],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"j0,j1,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
+def test_output_fifo_whose_reader_leaves_names_the_path(tmp_path, capsys):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+
+    def read_one_line():
+        with open(fifo, "rb") as handle:
+            handle.readline()
+
+    reader = threading.Thread(target=read_one_line, daemon=True)
+    reader.start()
+    assert run([*LARGE_DUMP, "-o", str(fifo)]) == 1
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert capsys.readouterr() == ("", f"riesz-eig: error: cannot write {str(fifo)!r}: Broken pipe\n")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
@@ -560,12 +610,14 @@ def test_failing_call_writes_nothing(tmp_path, capsys, fmt):
 @pytest.mark.parametrize("argv", [
     "eig --two-alpha 1.6 --n 512 --vectors",
     "eig --two-alpha 1.6 --n 512 --vectors --format json",
+    "eig --two-alpha 2.0 --n 512 --vectors",
     "mass --two-alpha 1.6 --n 512",
-], ids=["eig-vectors-csv", "eig-vectors-json", "mass"])
+    "eigfun --two-alpha 1.6 --n 512 --indices 1,2,512 --samples 65",
+], ids=["eig-vectors-csv", "eig-vectors-json", "eig-vectors-banded", "mass", "eigfun"])
 def test_streamed_output_memory_peak(tmp_path, argv):
-    # the text (about 3 MB) is never held whole: the peak stays below three
-    # (N+1)^2 arrays of doubles
-    budget = 3 * 513**2 * 8
+    # the text (about 3 MB) is never held whole, and the rows come from the
+    # parity blocks: the peak stays below one (N+1)^2 array of doubles
+    budget = 513**2 * 8
     tracemalloc.start()
     try:
         assert run([*argv.split(), "-o", str(tmp_path / "out")]) == 0

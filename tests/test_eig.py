@@ -141,6 +141,26 @@ def test_vectors_sign_per_block_matches_full_rows(two_alpha, n_max):
     np.testing.assert_array_equal(np.signbit(sol.vectors), np.signbit(expected))
 
 
+@pytest.mark.parametrize("two_alpha", [1.6, 2.0, 3.6])
+@pytest.mark.parametrize("n_max", [0, 1, 24, 256])
+def test_vector_rows_rebuild_the_vectors_from_the_blocks(two_alpha, n_max):
+    # the CLI's rows and eval_eigenfunction's vectors come from the parity
+    # blocks, and never read the (N+1)^2 matrix; each equals its row of it,
+    # the sign of every zero included
+    sol = solve(FractionalOrder(two_alpha), n_max)
+    rows = np.empty((n_max + 1, n_max + 1))
+    for i, (p, values, negative) in enumerate(sol._vector_rows()):
+        assert sol.parities[i] == ("even", "odd")[p]
+        rows[i, p::2] = values
+        rows[i, 1 - p::2] = -0.0 if negative else 0.0
+    singles = np.array([sol._vector(i) for i in range(n_max + 1)])
+    eval_eigenfunction(sol, [1, n_max + 1], [-0.5, 0.5])
+    assert "vectors" not in vars(sol)
+    for composed in (rows, singles):
+        np.testing.assert_array_equal(composed, sol.vectors)
+        np.testing.assert_array_equal(np.signbit(composed), np.signbit(sol.vectors))
+
+
 @pytest.mark.parametrize("two_alpha, n_max", [(1.6, 1024), (3.6, 1024), (5.6, 512)])
 def test_solve_lambdas_are_values_only_reciprocals(two_alpha, n_max):
     mass = assemble_mass(FractionalOrder(two_alpha), n_max)

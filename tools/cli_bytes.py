@@ -22,9 +22,10 @@ repository's ``bench/workloads.build`` gives for seeds 0-2, followed by
 corner cases: the empty odd block, bands of integer ``alpha`` from the
 smallest degrees up, with and without vectors, dense vectors from the
 smallest degrees up, both sides of the concurrency cutoff (``eig``'s
-``_CONCURRENT_MIN_ROWS``, dense blocks and bands), dense pairs built and
-solved on two threads, a quadrature cross-check on a rule of hundreds of
-nodes, and the named refusals.
+``_CONCURRENT_MIN_ROWS``, dense blocks and bands, vectors and dense-order
+``eigfun``), dense pairs built and solved on two threads, quadrature
+cross-checks on rules of hundreds of nodes (dense, odd ``N`` among them),
+and the named refusals.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ CORNERS = (
     ("eig", "--two-alpha", "2", "--n", "1024", "--vectors"),
     ("eig", "--two-alpha", "4", "--n", "1024", "--vectors", "--format", "json"),
     ("eigfun", "--two-alpha", "4", "--n", "512"),
+    # dense-order eigfun on both sides of the concurrency cutoff
+    *(("eigfun", "--two-alpha", "1.6", "--n", n, "--indices", "1,2,256,511", "--samples", "65")
+      for n in ("510", "511")),
     ("mass", "--two-alpha", "2", "--n", "8", "--verify-oracle"),
     ("mass", "--two-alpha", "2", "--n", "1024"),
     ("mass", "--two-alpha", "2", "--n", "1030"),
     ("mass", "--two-alpha", "4", "--n", "40"),
     ("mass", "--two-alpha", "0.37", "--n", "500", "--verify-oracle"),  # a 501-node rule
+    ("mass", "--two-alpha", "3.6", "--n", "257", "--verify-oracle"),  # dense, odd N
     ("eig", "--two-alpha", "1.6", "--n", "2048"),  # two 1025-row blocks, solved concurrently
     ("eigfun", "--two-alpha", "2", "--n", "1100"),
     ("eig", "--two-alpha", "5.6", "--n", "512", "--vectors"),  # refused: lost small end
