@@ -8,9 +8,11 @@ independently (``_block_spectra``, which picks the driver and the schedule:
 the pair is built and solved on two threads from ``_CONCURRENT_MIN_ROWS``
 odd rows) and merged: dense blocks with LAPACK ``syevd``, in place, and bands
 with ``sbevd``, both in the OpenBLAS of numpy's own wheel and called through
-``ctypes``, so numpy is the one library the package loads; numpy's
-``eigvalsh`` and ``eigh`` serve only where that wheel holds no OpenBLAS.  The
-same lookup gives ``quadrature`` its tridiagonal ``stevd``.  The spectral
+``ctypes``, so numpy is the one library the package loads; ``quadrature``
+gets its tridiagonal ``stevd`` here (``_stevd``).  A LAPACKE routine costs
+one row of ``_LAPACKE`` and a wrapper that allocates its arrays and calls
+``_call``.  Where ``_lapacke`` finds no library or no symbol, this module
+sends that job to numpy's ``eigvalsh`` or ``eigh`` instead.  The spectral
 studies need only the eigenvalues, so ``solve`` computes values alone; the
 coefficient vectors are computed the first time a caller reads them, and
 kept per parity block.
@@ -25,7 +27,6 @@ from ctypes import CDLL, CFUNCTYPE, c_char, c_int, c_int64, c_void_p
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,23 +40,28 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # Fewest rows of the odd (smaller) block from which the pair is built and
 # solved concurrently when BLAS is pinned to one thread.  Serial/concurrent
-# wall time of _block_spectra, BLAS pinned, 2-core x86_64 VM, median of 41
-# interleaved runs, measured while its assemble_mass call built both blocks
-# before the threads started, at odd-block rows
-# 64/96/128/160/192/256/513:
-#   dense syevd values   0.78/0.94/1.03/1.26/1.33/1.41/1.53 (2a = 1.6)
-#   dense syevd vectors  1.14/1.34/1.33/1.48/1.55/1.70/1.75
-#   band sbevd values    0.79/0.93/1.00/1.13/1.26/1.42/1.66 (2a = 2)
-#   band sbevd vectors   0.93/1.03/1.27/1.42/1.47/1.60/1.71
-# Over 111 runs at 160/192/224/256 rows the values measured 1.21/1.24/1.30/1.44
-# (dense) and 1.10/1.21/1.27/1.31 (band).  256 is the first size at which
-# every driver and job clears 1.3 in both runs, so one cutoff serves them all.
+# wall time of _block_spectra (each block built in its solving job), BLAS
+# pinned, 2-core x86_64 VM, median of 41 interleaved runs, orders alternated,
+# at odd-block rows 64/96/128/160/192/224/256/513:
+#   dense syevd values   0.73/0.99/1.20/1.31/1.46/1.54/1.63/1.73 (2a = 1.6)
+#   dense syevd vectors  0.89/1.14/1.29/1.43/1.61/1.67/1.60/1.82
+#   band sbevd values    0.54/0.87/1.02/1.13/1.19/1.34/1.32/1.68 (2a = 2)
+#   band sbevd vectors   0.89/1.17/1.24/1.45/1.57/1.62/1.70/1.76
+# A second run read 1.60/1.64/1.33/1.64 at 256 rows.  Every driver and job
+# clears 1.3 from 224 rows in both runs (band values: 1.19-1.25 at 192).  While
+# the host left the VM one core, every ratio read 0.96-0.99 at 256 and 513 rows.
 _CONCURRENT_MIN_ROWS = 256
 _PIN_LOCK = threading.Lock()
 _PINNED = [0, 0]  # [solves inside the OpenBLAS pin, the thread count before the first]
 # LAPACKE's codes for column-major storage and for a workspace it could not allocate
 _COL_MAJOR = 102
 _WORKSPACE_ERRORS = (-1010, -1011)
+# Each LAPACKE routine that ``_lapacke`` binds: its argument types after the layout
+_LAPACKE = {
+    "dsbevd": (c_char, c_char, c_int64, c_int64, c_void_p, c_int64, c_void_p, c_void_p, c_int64),
+    "dsyevd": (c_char, c_char, c_int64, c_void_p, c_int64, c_void_p),
+    "dstevd": (c_char, c_int64, c_void_p, c_void_p, c_void_p, c_int64),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,40 +174,19 @@ def _check_block_mu(mu, tag, order, n_max, lost):
         )
 
 
-class _OpenBLAS(NamedTuple):
-    """The functions the solve calls in the OpenBLAS of numpy's wheel."""
-
-    get_threads: object
-    set_threads: object
-    sbevd: object  # LAPACKE_dsbevd: (layout, jobz, uplo, n, kd, ab, ldab, w, z, ldz) -> info
-    syevd: object  # LAPACKE_dsyevd: (layout, jobz, uplo, n, a, lda, w) -> info
-    stevd: object  # LAPACKE_dstevd: (layout, jobz, n, d, e, z, ldz) -> info
-
-
 @cache
 def _openblas():
     """The OpenBLAS that numpy's wheel ships in ``numpy.libs``, or None where there is none.
 
     numpy's Linux wheels hold the ILP64 build of ``scipy-openblas``: every
-    symbol ends in ``64_`` and every LAPACK integer is 64 bits wide.  Where
-    there is none (numpy on MKL, Accelerate or a system BLAS),
-    ``_block_spectra`` sends every block to numpy's dense drivers,
-    ``quadrature`` builds its rules with numpy's ``eigh``, and
-    ``_one_blas_thread`` sets nothing.
+    symbol ends in ``64_`` and every LAPACK integer is 64 bits wide.  Its
+    LAPACKE routines are bound by ``_lapacke``; ``_one_blas_thread`` calls
+    its thread-count functions by name, and sets nothing where there is no
+    library (numpy on MKL, Accelerate or a system BLAS).
     """
     libs = Path(np.__file__).parents[1] / "numpy.libs"
     for path in libs.glob("libscipy_openblas64_-*.so"):
-        lib = CDLL(str(path))  # loaded by numpy already: the same handle
-        return _OpenBLAS(
-            CFUNCTYPE(c_int)(("scipy_openblas_get_num_threads64_", lib)),
-            CFUNCTYPE(None, c_int)(("scipy_openblas_set_num_threads64_", lib)),
-            CFUNCTYPE(c_int64, c_int, c_char, c_char, c_int64, c_int64, c_void_p, c_int64,
-                      c_void_p, c_void_p, c_int64)(("scipy_LAPACKE_dsbevd64_", lib)),
-            CFUNCTYPE(c_int64, c_int, c_char, c_char, c_int64, c_void_p, c_int64,
-                      c_void_p)(("scipy_LAPACKE_dsyevd64_", lib)),
-            CFUNCTYPE(c_int64, c_int, c_char, c_int64, c_void_p, c_void_p, c_void_p,
-                      c_int64)(("scipy_LAPACKE_dstevd64_", lib)),
-        )
+        return CDLL(str(path))  # loaded by numpy already: the same handle
     return None
 
 
@@ -209,7 +194,9 @@ def _openblas():
 def _one_blas_thread():
     """Pin numpy's OpenBLAS to one thread, process-wide; yield whether it took hold."""
     # with no library there is nothing to set, and the pin never takes hold
-    get, set_, *_ = _openblas() or (lambda: 0, lambda count: None)
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: 0)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", lambda count: None)
     with _PIN_LOCK:
         if not _PINNED[0]:
             _PINNED[1] = get()
@@ -224,12 +211,27 @@ def _one_blas_thread():
                 set_(_PINNED[1])
 
 
-def _check_info(driver: str, info: int, matrix: str) -> None:
-    """Raise for a nonzero LAPACKE ``info`` of ``driver``; ``matrix`` names what it solved.
+def _lapacke(name: str):
+    """``LAPACKE_<name>`` as ``_LAPACKE`` types it, cached per ``_openblas()``; None if missing."""
+    return _bind(_openblas(), name)
+
+
+@cache
+def _bind(lib, name):
+    try:
+        return CFUNCTYPE(c_int64, c_int, *_LAPACKE[name])((f"scipy_LAPACKE_{name}64_", lib))
+    except AttributeError:  # no such symbol, or no library (None has no handle)
+        return None
+
+
+def _call(name: str, matrix: str, *args) -> None:
+    """Call ``_lapacke(name)`` on column-major ``args``, which solve ``matrix``; map its ``info``.
 
     A workspace that LAPACKE could not allocate raises ``MemoryError``, a
     failure to converge or a rejected argument ``numpy.linalg.LinAlgError``.
     """
+    info = _lapacke(name)(_COL_MAJOR, *args)
+    driver = name[1:]
     if info in _WORKSPACE_ERRORS:
         raise MemoryError(f"{driver} could not allocate its workspace for {matrix}")
     if info > 0:
@@ -246,17 +248,14 @@ def _sbevd(band: np.ndarray, vectors: bool):
 
     ``band`` is in the upper-band storage of ``assembly``; it is copied,
     since ``sbevd`` overwrites it.  Returns the values alone unless
-    ``vectors`` is true.  Failures raise as ``_check_info`` says.
+    ``vectors`` is true.  Failures raise as ``_call`` says.
     """
     kd, n = band.shape[0] - 1, band.shape[1]
     ab = np.array(band, dtype=float, order="F")
     w = np.empty(n)
     z = np.empty((n, n) if vectors else 1, order="F")
-    info = _openblas().sbevd(
-        _COL_MAJOR, b"V" if vectors else b"N", b"U", n, kd, ab.ctypes.data, kd + 1,
-        w.ctypes.data, z.ctypes.data, n if vectors else 1,
-    )
-    _check_info("sbevd", info, f"a band of {n} rows")
+    _call("dsbevd", f"a band of {n} rows", b"V" if vectors else b"N", b"U", n, kd,
+            ab.ctypes.data, kd + 1, w.ctypes.data, z.ctypes.data, n if vectors else 1)
     return (w, z) if vectors else w
 
 
@@ -270,15 +269,12 @@ def _syevd(block: np.ndarray, vectors: bool):
     ``vectors`` it leaves the vectors there, in column-major order, and they
     are returned as ``block.T``.  The values come back in a new array.  The
     bits are those of numpy's ``eigvalsh`` and ``eigh``, which call the same
-    routine on a copy.  Failures raise as ``_check_info`` says.
+    routine on a copy.  Failures raise as ``_call`` says.
     """
     n = block.shape[0]
     w = np.empty(n)
-    info = _openblas().syevd(
-        _COL_MAJOR, b"V" if vectors else b"N", b"L", n, block.ctypes.data, max(n, 1),
-        w.ctypes.data,
-    )
-    _check_info("syevd", info, f"a block of {n} rows")
+    _call("dsyevd", f"a block of {n} rows", b"V" if vectors else b"N", b"L", n,
+            block.ctypes.data, max(n, 1), w.ctypes.data)
     return (w, block.T) if vectors else w
 
 
@@ -287,14 +283,16 @@ def _stevd(offdiag: np.ndarray):
 
     Returns the ascending eigenvalues and the orthonormal eigenvectors as
     columns; ``offdiag``, a contiguous float array, is overwritten.  Failures
-    raise as ``_check_info`` says.
+    raise as ``_call`` says.  Without ``dstevd``, numpy's ``eigh`` solves it as
+    a dense array, in O(n^3), to the same bits: LAPACK's reduction leaves it.
     """
+    if _lapacke("dstevd") is None:
+        return np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
     n = offdiag.size + 1
     d = np.zeros(n)
     z = np.empty((n, n), order="F")
-    info = _openblas().stevd(_COL_MAJOR, b"V", n, d.ctypes.data, offdiag.ctypes.data,
-                             z.ctypes.data, n)
-    _check_info("stevd", info, f"a tridiagonal matrix of {n} rows")
+    _call("dstevd", f"a tridiagonal matrix of {n} rows", b"V", n, d.ctypes.data,
+            offdiag.ctypes.data, z.ctypes.data, n)
     return d, z
 
 
@@ -312,7 +310,8 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     to ``sbevd`` (``_sbevd``) and never form a dense block; dense blocks go
     to ``syevd`` (``_syevd``), which solves them in place, so no block is
     copied between assembly and LAPACK and the vectors take the blocks'
-    memory.  Where ``_openblas`` finds no library, every block goes to
+    memory.  Where ``_lapacke`` finds no library or no symbol for the driver
+    of the stored form, every block goes to
     ``numpy.linalg.eigvalsh`` or, for vectors, ``numpy.linalg.eigh`` (both
     ``syevd`` on a copy), looked up on ``numpy.linalg`` at each call; bands
     then become dense blocks evaluated from the same tables.  Every dense
@@ -344,11 +343,12 @@ def _block_spectra(order: FractionalOrder, n_max: int, vectors: bool):
     error is raised.
     """
     mass = assemble_mass(order, n_max)
-    dense = _openblas() is None  # numpy's dense drivers, for bands too
+    name, driver = ("dsbevd", _sbevd) if mass.banded else ("dsyevd", _syevd)
+    dense = _lapacke(name) is None  # numpy's dense drivers, for bands too
     if dense:
         driver = np.linalg.eigh if vectors else np.linalg.eigvalsh
     else:
-        driver = partial(_sbevd if mass.banded else _syevd, vectors=vectors)
+        driver = partial(driver, vectors=vectors)
     if vectors:
         lost = "the eigenvectors need the small end that the full decomposition loses"
     else:

@@ -12,11 +12,12 @@ closed-form entry formulas.  The matrix checks take one rule and one Gram
 product at any degree; the per-entry mass reference takes the smallest rule
 exact for its pair.  A rule is the pair of arrays ``(nodes, weights)``, and
 a weighted integral is ``np.dot(weights, values)``.  The recurrence matrix
-goes to LAPACK's tridiagonal divide and conquer ``stevd`` in numpy's own
-OpenBLAS (``eig._stevd``), found by the lookup that finds the solve's
-drivers.  Where numpy's wheel holds no OpenBLAS it goes to numpy's ``eigh``
-as one dense array instead, with O(m^3) work: LAPACK's tridiagonal reduction
-leaves it as it is, so both give the same nodes and weights, bit for bit.
+goes to ``eig._stevd``: LAPACK's tridiagonal divide and conquer ``stevd``
+in numpy's own OpenBLAS, bound by the lookup that binds the solve's
+drivers.  Where that lookup finds no ``stevd``, ``eig._stevd`` itself sends
+the matrix to numpy's ``eigh`` as one dense array, with O(m^3) work:
+LAPACK's tridiagonal reduction leaves it as it is, so both give the same
+nodes and weights, bit for bit.
 That eigensolve and the Gram products run on numpy's OpenBLAS pinned to one
 thread, as the solve's drivers do, so the cross-checks give the same bits
 under any BLAS thread setting.
@@ -28,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .eig import _one_blas_thread, _openblas, _stevd
+from .eig import _one_blas_thread, _stevd
 from .specfun import FractionalOrder, _basis_scales, _image_prefactors, _jacobi_all, jacobi_norm_sq
 
 __all__ = [
@@ -62,7 +63,8 @@ def gauss_jacobi(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     the rule is exact on polynomials of degree <= 2m-1.
 
     Raises ``ValueError`` for an exponent that ``jacobi_norm_sq`` refuses:
-    infinite, or too large for its log-gamma terms to keep a digit.
+    infinite, or too large for its log-gamma terms to keep a digit.  A failed
+    eigensolve raises ``RuntimeError`` followed by the driver's message.
     """
     m = operator.index(m)
     if m < 1:
@@ -72,13 +74,10 @@ def gauss_jacobi(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     offdiag = _recurrence_offdiagonal(s, m)
     try:
         with _one_blas_thread():
-            if _openblas() is None:
-                nodes, vecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
-            else:
-                nodes, vecs = _stevd(offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a bug
+            nodes, vecs = _stevd(offdiag)
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"tridiagonal eigensolve failed for weight exponent {s} with {m} nodes"
+            f"tridiagonal eigensolve failed for weight exponent {s} with {m} nodes: {exc}"
         ) from exc
     weights = scale * vecs[0] ** 2
     # enforce the exact node/weight symmetry about 0

@@ -19,7 +19,7 @@ import riesz_eig.eig
 from riesz_eig.analysis import condition_slope, convergence_table, spectrum_report, weyl_ratios
 from riesz_eig.assembly import _band_block, _entry_tables, assemble_mass, mass_entry
 from riesz_eig.eig import eval_eigenfunction, solve
-from riesz_eig.quadrature import oracle_mass_entry
+from riesz_eig.quadrature import gauss_jacobi, oracle_mass_entry
 from riesz_eig.specfun import (
     FractionalOrder,
     _boundary_weight,
@@ -394,9 +394,8 @@ def test_sbevd_equals_scipy_banded_drivers(two_alpha, n_max):
 @pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
 def test_sbevd_failure_names_the_block(monkeypatch, vectors):
     # LAPACKE's info > 0: the tridiagonal stage did not converge
-    failing = riesz_eig.eig._openblas()._replace(sbevd=lambda *a: 3)
     sol = solve(FractionalOrder(4.0), 8)
-    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    _failing_lapacke(monkeypatch, "dsbevd", 3)
     with pytest.raises(RuntimeError) as exc:
         sol.vectors if vectors else solve(FractionalOrder(4.0), 8)
     assert str(exc.value) == (
@@ -410,8 +409,7 @@ def test_sbevd_failure_names_the_block(monkeypatch, vectors):
 @pytest.mark.parametrize("info", [-1010, -1011])
 def test_sbevd_workspace_failure_raises_memory_error(monkeypatch, info):
     # LAPACKE's codes for a work or transpose array it could not allocate
-    failing = riesz_eig.eig._openblas()._replace(sbevd=lambda *a: info)
-    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    _failing_lapacke(monkeypatch, "dsbevd", info)
     with pytest.raises(MemoryError, match="could not allocate its workspace for a band of 5 rows"):
         solve(FractionalOrder(4.0), 8)
 
@@ -438,9 +436,8 @@ def test_syevd_equals_numpy_dense_drivers(two_alpha):
 @pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
 def test_syevd_failure_names_the_block(monkeypatch, vectors):
     # LAPACKE's info > 0: the tridiagonal stage did not converge
-    failing = riesz_eig.eig._openblas()._replace(syevd=lambda *a: 3)
     sol = solve(FractionalOrder(1.6), 8)
-    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    _failing_lapacke(monkeypatch, "dsyevd", 3)
     with pytest.raises(RuntimeError) as exc:
         sol.vectors if vectors else solve(FractionalOrder(1.6), 8)
     assert str(exc.value) == (
@@ -454,8 +451,7 @@ def test_syevd_failure_names_the_block(monkeypatch, vectors):
 @pytest.mark.parametrize("info", [-1010, -1011])
 def test_syevd_workspace_failure_raises_memory_error(monkeypatch, info):
     # LAPACKE's codes for a work or transpose array it could not allocate
-    failing = riesz_eig.eig._openblas()._replace(syevd=lambda *a: info)
-    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: failing)
+    _failing_lapacke(monkeypatch, "dsyevd", info)
     with pytest.raises(MemoryError, match="could not allocate its workspace for a block of 5 rows"):
         solve(FractionalOrder(1.6), 8)
 
@@ -573,9 +569,46 @@ def test_dense_vectors_go_through_syevd(monkeypatch):
     assert dims == [("eigh", n, True) for n in (5, 4, 5, 4, 1)]
 
 
+@needs_openblas
+@pytest.mark.parametrize("missing", ["dstevd", "dsbevd"])
+def test_a_missing_symbol_sends_only_its_job_to_numpy(monkeypatch, missing):
+    # a library that lacks one LAPACKE routine: the job that needs it goes to
+    # numpy's dense drivers, every other job stays in LAPACK, and the bits of
+    # the tridiagonal bands and of the rule are those with every routine there
+    order = FractionalOrder(2.0)
+    lambdas, rule = solve(order, 64).lambdas, gauss_jacobi(0.74, 257)
+    lapacke = riesz_eig.eig._lapacke
+    monkeypatch.setattr(riesz_eig.eig, "_lapacke",
+                        lambda name: None if name == missing else lapacke(name))
+    calls = []
+
+    def recording(driver):
+        def run(matrix):
+            calls.append((driver.__name__, len(matrix)))
+            return driver(matrix)
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    np.testing.assert_array_equal(solve(order, 64).lambdas, lambdas)
+    for got, expected in zip(gauss_jacobi(0.74, 257), rule):
+        np.testing.assert_array_equal(got, expected)
+    if missing == "dstevd":
+        assert calls == [("eigh", 257)]
+    else:
+        assert calls == [("eigvalsh", 33), ("eigvalsh", 32)]
+
+
 def _no_openblas(monkeypatch):
     """Make the solve find no OpenBLAS in numpy's wheel: dense drivers only, blocks in turn."""
     monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: None)
+
+
+def _failing_lapacke(monkeypatch, name, info):
+    """Make LAPACKE's ``name`` return ``info`` at once; every other routine runs as it does."""
+    lapacke = riesz_eig.eig._lapacke
+    monkeypatch.setattr(riesz_eig.eig, "_lapacke",
+                        lambda routine: (lambda *args: info) if routine == name else lapacke(routine))
 
 
 @pytest.fixture
@@ -585,15 +618,16 @@ def blas_at_two_threads():
     Yields its thread-count getter.  At two threads a solve that left its
     pin early, or never set it, shows as a count of 2.
     """
-    openblas = riesz_eig.eig._openblas()
-    if openblas is None:
+    lib = riesz_eig.eig._openblas()
+    if lib is None:
         pytest.skip("numpy's wheel holds no OpenBLAS")
-    before = openblas.get_threads()
-    openblas.set_threads(2)
-    if openblas.get_threads() != 2:
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    before = get()
+    set_(2)
+    if get() != 2:
         pytest.skip("OpenBLAS does not take a count of two threads here")
-    yield openblas.get_threads
-    openblas.set_threads(before)
+    yield get
+    set_(before)
 
 
 def _recording_builds(monkeypatch, fails=(), last=None):

@@ -85,10 +85,12 @@ def test_import_loads_no_scipy():
 
 def test_import_starts_no_thread_and_looks_up_no_lapack():
     # the import does no work that a call does not need: the helper thread of
-    # the concurrent solve and the OpenBLAS lookup wait for the first solve
+    # the concurrent solve, the OpenBLAS lookup and the binding of its LAPACKE
+    # routines wait for the first solve
     setup = (
         "import threading, riesz_eig.eig\n"
-        "if threading.active_count() != 1 or riesz_eig.eig._openblas.cache_info().currsize:\n"
+        "lookups = (riesz_eig.eig._openblas, riesz_eig.eig._bind)\n"
+        "if threading.active_count() != 1 or any(f.cache_info().currsize for f in lookups):\n"
         "    sys.exit('the import started a thread or looked up LAPACK')\n"
     )
     assert _fresh_run([], setup) == {"codes": [], "scipy": [], "deferred": []}

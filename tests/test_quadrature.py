@@ -58,6 +58,54 @@ def test_rule_equals_tridiagonal_eigensolver(s, m):
     np.testing.assert_array_equal(weights, expected_weights)
 
 
+@pytest.mark.parametrize("m", [1, 2, 33, 65, 1025])
+@pytest.mark.parametrize("s", [0.8, 5.6], ids=_weight_id)
+def test_rule_without_the_library_equals_tridiagonal_eigensolver(monkeypatch, s, m):
+    # where numpy's wheel holds no OpenBLAS the rule comes from numpy's dense
+    # eigh, and still agrees with the tridiagonal eigensolver to the last bit
+    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: None)
+    test_rule_equals_tridiagonal_eigensolver(s, m)
+
+
+@pytest.mark.parametrize("s, m", [
+    (-0.5, 7), (0.0, 2), (0.3, 257), (0.74, 1025), (1.8, 513), (3.6, 200), (6.0, 65), (1.0, 1),
+])
+def test_rule_is_the_same_without_the_library(monkeypatch, s, m):
+    # stevd in numpy's OpenBLAS, or numpy's eigh on the dense tridiagonal matrix
+    nodes, weights = gauss_jacobi(s, m)
+    monkeypatch.setattr(riesz_eig.eig, "_openblas", lambda: None)
+    assert riesz_eig.eig._lapacke("dstevd") is None
+    expected_nodes, expected_weights = gauss_jacobi(s, m)
+    np.testing.assert_array_equal(nodes, expected_nodes)
+    np.testing.assert_array_equal(weights, expected_weights)
+
+
+def _failing_stevd(monkeypatch, info):
+    """Make every LAPACKE routine, ``dstevd`` among them, return ``info`` at once."""
+    monkeypatch.setattr(riesz_eig.eig, "_lapacke", lambda name: lambda *args: info)
+
+
+def test_rule_names_a_failed_eigensolve(monkeypatch):
+    # LAPACKE's info > 0: the divide and conquer did not converge
+    _failing_stevd(monkeypatch, 3)
+    with pytest.raises(RuntimeError) as exc:
+        gauss_jacobi(0.5, 9)
+    assert str(exc.value) == (
+        "tridiagonal eigensolve failed for weight exponent 0.5 with 9 nodes: stevd did not "
+        "converge: 3 off-diagonal elements of the tridiagonal form stayed nonzero"
+    )
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("info", [-1010, -1011])
+def test_rule_workspace_failure_raises_memory_error(monkeypatch, info):
+    # LAPACKE's codes for a work or transpose array it could not allocate
+    _failing_stevd(monkeypatch, info)
+    with pytest.raises(MemoryError, match="^stevd could not allocate its workspace for a "
+                                          "tridiagonal matrix of 9 rows$"):
+        gauss_jacobi(0.5, 9)
+
+
 def test_single_node_rule():
     nodes, weights = gauss_jacobi(1.0, 1)
     assert nodes[0] == 0.0
