@@ -6,11 +6,20 @@ Usage::
 
 runs ``python -m riesz_eig.cli`` from ``CHECKOUT/src`` (default: this
 repository) under ``OPENBLAS_NUM_THREADS=1``, once per argv of ``argvs()``,
-one process at a time, and prints one line per argv: the exit code, the two
-digests and the argv.  The package pins its OpenBLAS to one thread itself,
+one process at a time.  It prints ``key()`` first, the numpy, OpenBLAS and
+machine that the bits follow, then one line per argv: the exit code, the
+two digests and the argv.  The package pins its OpenBLAS to one thread itself,
 so the variable matters only for checkouts from before that pin, whose bytes
-follow the BLAS thread setting.  A change meant to keep every CLI byte is checked
-against its parent commit with::
+follow the BLAS thread setting.
+
+``tests/cli_bytes.txt`` is this output for this repository, and
+``tests/test_cli_bytes.py`` runs every argv through ``cli.main`` in one
+process and compares.  A change that moves bytes on purpose regenerates it::
+
+    python tools/cli_bytes.py > tests/cli_bytes.txt
+
+so the diff of that file lists every argv that changed.  A change meant to
+keep every CLI byte can also be checked against its parent commit with::
 
     git archive PARENT | tar -x -C /tmp/parent
     python tools/cli_bytes.py /tmp/parent > parent.txt
@@ -30,8 +39,11 @@ and the named refusals.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import importlib.util
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -86,15 +98,37 @@ CORNERS = (
 
 def argvs() -> list[tuple[str, ...]]:
     """The benchmark's CLI argvs for seeds 0-2, each once, then ``CORNERS``."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
     seen = {}
     for seed in range(3):
         for workload in ("cli_studies", "cli_dumps"):
             for op in workloads.build(workload, seed):
                 seen.setdefault(tuple(op.argv), None)
     return [*seen, *CORNERS]
+
+
+def key() -> str:
+    """The first line: numpy's version, its OpenBLAS's configuration and the machine.
+
+    The configuration string names the core that a ``DYNAMIC_ARCH`` build
+    picked, whose kernels decide the last bits of every BLAS and LAPACK call.
+    """
+    import numpy as np
+
+    config = "no OpenBLAS"
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        get_config = ctypes.CFUNCTYPE(ctypes.c_char_p)(
+            ("scipy_openblas_get_config64_", ctypes.CDLL(str(path))))
+        config = get_config().decode()
+    return f"key: numpy {np.__version__}; {config}; {platform.machine()}"
+
+
+def line(code: int, stdout: bytes, stderr: bytes, argv) -> str:
+    """The manifest line of one run: exit code, the digests of stdout and stderr, the argv."""
+    digests = (hashlib.sha256(stream).hexdigest() for stream in (stdout, stderr))
+    return " ".join([str(code), *digests, *argv])
 
 
 def main() -> int:
@@ -104,11 +138,11 @@ def main() -> int:
         sys.exit(f"no riesz_eig package under {src}")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    print(key(), flush=True)
     for argv in argvs():
         result = subprocess.run([sys.executable, "-m", "riesz_eig.cli", *argv],
                                 capture_output=True, env=env, cwd=checkout)
-        digests = (hashlib.sha256(stream).hexdigest() for stream in (result.stdout, result.stderr))
-        print(result.returncode, *digests, " ".join(argv), flush=True)
+        print(line(result.returncode, result.stdout, result.stderr, argv), flush=True)
     return 0
 
 
