@@ -53,7 +53,7 @@ class MassMatrix:
     whole matrix, are built on first access and read-only; ``entries``
     evaluates the dense blocks, bit for bit the entries of the bands.  Only
     ``entries`` forms an ``(N+1)^2`` array, for library readers: the solve
-    and the CLI's ``mass`` dump build the blocks alone (``_block``).
+    builds the blocks alone, the CLI's ``mass`` dump their rows (``_block``).
     """
 
     order: FractionalOrder
@@ -64,12 +64,12 @@ class MassMatrix:
     def banded(self) -> bool:
         return self.order.alpha.is_integer()
 
-    def _block(self, p: int, dense: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-        """A new, writable block ``p``: a band where ``banded`` unless ``dense``, else ``out``."""
+    def _block(self, p: int, dense: bool = False, out=None, rows=slice(None)) -> np.ndarray:
+        """A new, writable block ``p``: a band where ``banded`` unless ``dense``, else ``rows``."""
         indices = np.arange(p, self.n_max + 1, 2)
         if self.banded and not dense:
             return _band_block(self.tables, int(self.order.alpha), indices)
-        return _dense_block(self.tables, indices, out)
+        return _dense_block(self.tables, indices, out, rows)
 
     @cached_property
     def even(self) -> np.ndarray:
@@ -154,21 +154,21 @@ def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     return float(_entry_values(tables, np.array([i]), np.array([j]))[0])
 
 
-def _dense_block(tables, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The dense block on ``indices`` (all of one parity), as ``_entry_values`` gives it.
+def _dense_block(tables, indices: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+    """The ``rows`` of the dense block on ``indices`` (one parity), as ``_entry_values`` gives them.
 
     Within a block the sum term is a Hankel and the difference term a
-    Toeplitz matrix; both are strided views of the tables, so nothing is
-    gathered entry by entry.  Every factor is symmetric, and so is the block,
-    exactly.  The block is written into ``out`` when it is given.
+    Toeplitz matrix; both are strided views of the tables, sliced to the
+    rows, so nothing is gathered entry by entry.  Every factor is symmetric,
+    and so is the block, exactly.  The rows are written into ``out`` if given.
     """
     n = indices.size
     if n == 0:
         return np.zeros((0, 0))
     k, h, q, u = tables
-    hankel = sliding_window_view(q[indices[0]:indices[0] + 2 * n - 1], n)
-    toeplitz = sliding_window_view(np.concatenate((u[n - 1:0:-1], u[:n])), n)[::-1]
-    block = np.outer(h[indices], h[indices], out=out)
+    hankel = sliding_window_view(q[indices[0]:indices[0] + 2 * n - 1], n)[rows]
+    toeplitz = sliding_window_view(np.concatenate((u[n - 1:0:-1], u[:n])), n)[::-1][rows]
+    block = np.outer(h[indices[rows]], h[indices], out=out)
     block *= k
     block *= hankel
     block *= toeplitz

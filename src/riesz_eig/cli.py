@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis
 from .assembly import assemble_mass
 from .eig import eval_eigenfunction, solve
-from .quadrature import oracle_mass_matrix
+from .quadrature import _normalized_gram
 from .specfun import FractionalOrder
 
 __all__ = [
@@ -208,29 +208,25 @@ def cmd_eigfun(args: argparse.Namespace) -> Iterator[str]:
 
 
 def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
-    """Dump the full mass matrix; optionally cross-check it against the oracle.
+    """Dump the full mass matrix; optionally cross-check its parity blocks against the oracle.
 
     Row ``i`` is formatted from row ``i // 2`` of the dense parity block
-    ``i % 2``, and its other cells are the exact zeros between the blocks,
-    so the ``(N+1)^2`` matrix ``MassMatrix.entries`` is never formed; only
-    ``--verify-oracle`` holds one such array, the oracle's.  Its deviation
-    is the largest over the upper triangle, taken per block: each block's
-    upper triangle against the oracle's, and the cross-parity entries above
-    the diagonal against exact 0.
+    ``i % 2``, and its other cells are the exact zeros between the blocks.
+    Both blocks are built from ``mass.tables`` in step, 64 rows at a time, so
+    no block is held whole; only ``--verify-oracle`` builds whole blocks, to
+    print their largest deviation from the oracle's over the upper triangle.
     """
     mass = assemble_mass(args.order, args.n)
-    blocks = [mass._block(p, dense=True) for p in (0, 1)]
     if args.verify_oracle:
-        oracle = oracle_mass_matrix(args.order, args.n)
-        worst = np.max([
-            # cross-parity entry (p + 2r, 1 - p + 2c) lies above the diagonal for c >= r + p
-            np.max(np.triu(np.abs(deviation), k), initial=0.0)
-            for p, block in enumerate(blocks)
-            for deviation, k in ((block - oracle[p::2, p::2], 0), (oracle[p::2, 1 - p::2], p))
-        ])
-    header = [f"j{j}" for j in range(args.n + 1)]
-    rows = ((i % 2, blocks[i % 2][i // 2], False) for i in range(args.n + 1))
-    yield from _csv_lines(header, _parity_rows(rows, args.n + 1))
+        worst = max(
+            np.max(np.triu(np.abs(mass._block(p, dense=True) - oracle)), initial=0.0)
+            for p, oracle in enumerate(_normalized_gram(args.order, 2.0, args.n))
+        )
+    strips = ((r, [mass._block(p, dense=True, rows=slice(r, r + 64)) for p in (0, 1)])
+              for r in range(0, args.n // 2 + 1, 64))
+    rows = ((i % 2, strip[i % 2][i // 2 - r], False) for r, strip in strips
+            for i in range(2 * r, min(2 * r + 128, args.n + 1)))
+    yield from _csv_lines([f"j{j}" for j in range(args.n + 1)], _parity_rows(rows, args.n + 1))
     if args.verify_oracle:
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 
@@ -283,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mass", help="dump the mass matrix as CSV")
     common(p)
     p.add_argument("--verify-oracle", action="store_true",
-                   help="cross-check every entry against the quadrature oracle")
+                   help="cross-check each parity block against the quadrature oracle")
     return parser
 
 

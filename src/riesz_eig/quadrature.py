@@ -8,16 +8,16 @@ eigenvalues of the symmetric tridiagonal recurrence matrix, whose diagonal is
 normalized eigenvectors scaled by the zeroth moment.  The oracles below
 integrate raw polynomial products against the weight and are the independent
 cross-check for every closed-form matrix entry and norm; they never touch the
-closed-form entry formulas.  The matrix checks take one rule and one Gram
-product at any degree; the per-entry mass reference takes the smallest rule
-exact for its pair.  A rule is the pair of arrays ``(nodes, weights)``, and
-a weighted integral is ``np.dot(weights, values)``.  The recurrence matrix
-goes to ``eig._stevd``: LAPACK's tridiagonal divide and conquer ``stevd``
-in numpy's own OpenBLAS, bound by the lookup that binds the solve's
-drivers.  Where that lookup finds no ``stevd``, ``eig._stevd`` itself sends
-the matrix to numpy's ``eigh`` as one dense array, with O(m^3) work:
-LAPACK's tridiagonal reduction leaves it as it is, so both give the same
-nodes and weights, bit for bit.
+closed-form entry formulas.  The matrix checks take one rule at any degree
+and one Gram product per parity block, none between the blocks; the
+per-entry mass reference takes the smallest rule exact for its pair.  A rule
+is the pair of arrays ``(nodes, weights)``, and a weighted integral is
+``np.dot(weights, values)``.  The recurrence matrix goes to ``eig._stevd``:
+LAPACK's tridiagonal divide and conquer ``stevd`` in numpy's own OpenBLAS,
+bound by the lookup that binds the solve's drivers.  Where that lookup finds
+no ``stevd``, ``eig._stevd`` itself sends the matrix to numpy's ``eigh`` as
+one dense array, with O(m^3) work: LAPACK's tridiagonal reduction leaves it
+as it is, so both give the same nodes and weights, bit for bit.
 That eigensolve and the Gram products run on numpy's OpenBLAS pinned to one
 thread, as the solve's drivers do, so the cross-checks give the same bits
 under any BLAS thread setting.
@@ -104,12 +104,13 @@ def oracle_mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     return float(scales[i] * scales[j] * integral)
 
 
-def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) -> np.ndarray:
-    """``C (R W R^T) C``: the integrals ``c_i c_j (1-x^2)^s P_i P_j``, ``i, j <= n_max``.
+def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) -> list[np.ndarray]:
+    """Blocks ``p`` = 0, 1 of ``C (R W R^T) C``: the integrals ``c_i c_j (1-x^2)^s P_i P_j``.
 
     ``s = weight_scale * alpha``; ``R`` holds the ``(alpha, alpha)`` Jacobi
     values at the nodes of one ``(n_max+1)``-node rule for the weight, exact
-    for every product, ``W`` its weights and ``C`` the basis normalizations.
+    for every product, ``W`` its weights and ``C`` the basis normalizations;
+    block ``p`` takes the rows and columns ``p::2`` alone, ``i, j <= n_max``.
     """
     if n_max < 0:
         raise ValueError(f"basis degree must be nonnegative, got {n_max}")
@@ -117,16 +118,20 @@ def _normalized_gram(order: FractionalOrder, weight_scale: float, n_max: int) ->
     rows = _jacobi_all(order.alpha, n_max, nodes)
     coeffs = _basis_scales(order, n_max)
     with _one_blas_thread():
-        return coeffs[:, None] * ((rows * weights) @ rows.T) * coeffs
+        return [coeffs[p::2, None] * ((rows[p::2] * weights) @ rows[p::2].T) * coeffs[p::2]
+                for p in (0, 1)]
 
 
 def oracle_mass_matrix(order: FractionalOrder, n_max: int) -> np.ndarray:
-    """The full mass matrix by quadrature, as ``oracle_mass_entry`` but with one rule."""
-    return _normalized_gram(order, 2.0, n_max)
+    """The full mass matrix by quadrature: ``_normalized_gram``'s blocks, exact zeros between."""
+    even, odd = _normalized_gram(order, 2.0, n_max)
+    full = np.zeros((n_max + 1, n_max + 1))
+    full[0::2, 0::2], full[1::2, 1::2] = even, odd
+    return full
 
 
 def stiffness_check(order: FractionalOrder, n_max: int) -> float:
-    """Max deviation of the quadrature-evaluated stiffness matrix from the identity.
+    """Max deviation of the quadrature stiffness matrix's parity blocks from the identity.
 
     The stiffness matrix is the identity by construction and never stored;
     this measures ``|c_m c_n <basis_m, basis_n>_energy - delta_mn|`` over
@@ -135,6 +140,7 @@ def stiffness_check(order: FractionalOrder, n_max: int) -> float:
     ``(1-x^2)^alpha``, all from one rule.  Where the largest prefactor is
     too large for double precision, a ``ValueError`` names ``2a`` and ``N``.
     """
-    gram = _normalized_gram(order, 1.0, n_max)
+    blocks = _normalized_gram(order, 1.0, n_max)
     prefactors = _image_prefactors(order.alpha, n_max)
-    return float(np.max(np.triu(np.abs(prefactors[:, None] * gram - np.eye(n_max + 1)))))
+    deviations = (np.abs(prefactors[p::2, None] * b - np.eye(len(b))) for p, b in enumerate(blocks))
+    return max(float(np.max(np.triu(d), initial=0.0)) for d in deviations)

@@ -268,10 +268,14 @@ def test_mass_verify_oracle(tmp_path, capsys):
     assert float(err.split("=")[1]) <= 1e-12
 
 
-@pytest.mark.parametrize("two_alpha, n_max", [(2.0, 8), (3.6, 9), (1.6, 24)])
+@pytest.mark.parametrize("two_alpha, n_max", [
+    (2.0, 8), (3.6, 9), (1.6, 24), (2.0, 300), (1.6, 257), (1.6, 0),
+])
 def test_mass_dump_and_deviation_equal_the_full_matrix(tmp_path, capsys, two_alpha, n_max):
     # both are taken per parity block, and are those of the full matrix: every
-    # entry, and the largest deviation from the oracle above the diagonal
+    # entry, and the largest deviation from the oracle above the diagonal.
+    # The dump builds its blocks 64 rows at a time: N = 257 and 300 take
+    # several strips, N = 0 has an empty odd block
     out = tmp_path / "mass.csv"
     assert run(["mass", "--two-alpha", str(two_alpha), "--n", str(n_max), "--verify-oracle",
                 "-o", str(out)]) == 0
@@ -607,17 +611,20 @@ def test_failing_call_writes_nothing(tmp_path, capsys, fmt):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    "eig --two-alpha 1.6 --n 512 --vectors",
-    "eig --two-alpha 1.6 --n 512 --vectors --format json",
-    "eig --two-alpha 2.0 --n 512 --vectors",
-    "mass --two-alpha 1.6 --n 512",
-    "eigfun --two-alpha 1.6 --n 512 --indices 1,2,512 --samples 65",
-], ids=["eig-vectors-csv", "eig-vectors-json", "eig-vectors-banded", "mass", "eigfun"])
-def test_streamed_output_memory_peak(tmp_path, argv):
+@pytest.mark.parametrize("argv, budget", [
+    ("eig --two-alpha 1.6 --n 512 --vectors", 513**2 * 8),
+    ("eig --two-alpha 1.6 --n 512 --vectors --format json", 513**2 * 8),
+    ("eig --two-alpha 2.0 --n 512 --vectors", 513**2 * 8),
+    ("mass --two-alpha 1.6 --n 512", 10**6),
+    ("mass --two-alpha 2.0 --n 512", 10**6),
+    ("eigfun --two-alpha 1.6 --n 512 --indices 1,2,512 --samples 65", 513**2 * 8),
+], ids=["eig-vectors-csv", "eig-vectors-json", "eig-vectors-banded", "mass", "mass-banded",
+        "eigfun"])
+def test_streamed_output_memory_peak(tmp_path, argv, budget):
     # the text (about 3 MB) is never held whole, and the rows come from the
-    # parity blocks: the peak stays below one (N+1)^2 array of doubles
-    budget = 513**2 * 8
+    # parity blocks: the peak stays below one (N+1)^2 array of doubles.  The
+    # mass dump holds strips of 64 rows of each block, never a whole block,
+    # so it stays below 1 MB; its two dense blocks alone take 1.05 MB
     tracemalloc.start()
     try:
         assert run([*argv.split(), "-o", str(tmp_path / "out")]) == 0

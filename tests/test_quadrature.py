@@ -13,13 +13,14 @@ import pytest
 import riesz_eig.eig
 from riesz_eig.assembly import assemble_mass
 from riesz_eig.quadrature import (
+    _normalized_gram,
     _recurrence_offdiagonal,
     gauss_jacobi,
     oracle_mass_entry,
     oracle_mass_matrix,
     stiffness_check,
 )
-from riesz_eig.specfun import FractionalOrder, jacobi_norm_sq
+from riesz_eig.specfun import FractionalOrder, _image_prefactors, jacobi_norm_sq
 
 # -0.5 is the Chebyshev weight, where the generic first off-diagonal is 0/0
 EXPONENTS = [0.0, 1.0, 2.0, 0.65, 5.6, -0.5]
@@ -233,6 +234,34 @@ def test_oracle_mass_matrix_matches_assembly_at_cli_size(two_alpha):
     order = FractionalOrder(two_alpha)
     entries = assemble_mass(order, 1024).entries
     assert np.max(np.abs(oracle_mass_matrix(order, 1024) - entries)) <= 1e-14 * entries[0, 0]
+
+
+@pytest.mark.parametrize("two_alpha", [1.6, 2.0])
+@pytest.mark.parametrize("n_max", [0, 1, 64])
+def test_oracle_mass_matrix_is_its_parity_blocks(two_alpha, n_max):
+    # the blocks are the Gram products, bit for bit, and every entry of odd
+    # i + j is +0.0: no product between the blocks is formed
+    order = FractionalOrder(two_alpha)
+    matrix = oracle_mass_matrix(order, n_max)
+    assert matrix.shape == (n_max + 1, n_max + 1)
+    for p, block in enumerate(_normalized_gram(order, 2.0, n_max)):
+        assert np.array_equal(matrix[p::2, p::2], block)
+        between = matrix[p::2, 1 - p::2]
+        assert np.all(between == 0.0) and not np.any(np.signbit(between))
+
+
+@pytest.mark.parametrize("two_alpha", [1.6, 2.0, 5.6])
+@pytest.mark.parametrize("n_max", [0, 3, 64])
+def test_stiffness_check_is_the_full_matrix_maximum(two_alpha, n_max):
+    # the maximum over the upper triangle of the full matrix, its Gram the
+    # two blocks with exact zeros between them, as oracle_mass_matrix puts
+    # them (a product of other shape would round differently in the last bits)
+    order = FractionalOrder(two_alpha)
+    gram = np.zeros((n_max + 1, n_max + 1))
+    gram[0::2, 0::2], gram[1::2, 1::2] = _normalized_gram(order, 1.0, n_max)
+    prefactors = _image_prefactors(order.alpha, n_max)
+    reference = np.max(np.triu(np.abs(prefactors[:, None] * gram - np.eye(n_max + 1))))
+    assert stiffness_check(order, n_max) == reference
 
 
 @pytest.mark.parametrize("two_alpha", [0.5, 2.0, 5.6])
