@@ -72,6 +72,8 @@ CORNERS = (
     ("eig", "--two-alpha", "6", "--n", "5"),
     ("eig", "--two-alpha", "6", "--n", "5", "--vectors"),
     ("eig", "--two-alpha", "8", "--n", "1"),
+    ("eig", "--two-alpha", "8", "--n", "9", "--vectors"),  # 4 superdiagonals on 5 rows
+    ("eig", "--two-alpha", "16", "--n", "14", "--vectors"),  # width clipped to the rows
     ("eig", "--two-alpha", "2", "--n", "1024", "--vectors"),
     ("eig", "--two-alpha", "4", "--n", "1024", "--vectors", "--format", "json"),
     ("eigfun", "--two-alpha", "4", "--n", "512"),
@@ -82,6 +84,7 @@ CORNERS = (
     ("mass", "--two-alpha", "2", "--n", "1024"),
     ("mass", "--two-alpha", "2", "--n", "1030"),
     ("mass", "--two-alpha", "4", "--n", "40"),
+    ("mass", "--two-alpha", "2", "--n", "130"),  # dense strips across a 64-row boundary
     ("mass", "--two-alpha", "0.37", "--n", "500", "--verify-oracle"),  # a 501-node rule
     ("mass", "--two-alpha", "3.6", "--n", "257", "--verify-oracle"),  # dense, odd N
     ("eig", "--two-alpha", "1.6", "--n", "2048"),  # two 1025-row blocks, solved concurrently
