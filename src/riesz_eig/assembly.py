@@ -14,13 +14,14 @@ difference.  ``Q`` and ``U`` are Pochhammer ratios, compensated running
 products from ``specfun``, so a block needs no special function beyond the
 three ``lgamma`` values in ``K``.
 For integer ``alpha`` the difference term vanishes exactly past ``alpha``, so
-each block is banded, and it is built as a band at every ``N``; any other
-order builds the dense blocks.  ``MassMatrix.banded`` is that rule, and
-``eig`` picks its LAPACK drivers from it.  ``assemble_mass`` builds the
-tables once for both blocks and no block: a block is built when it is read,
-or by the solve on the thread that solves it.  It and ``mass_entry`` refuse,
-by name, an order whose largest entry ``M_00`` lies below the smallest
-normal double, so that every entry underflows.
+each block is banded, and it is built as a band, diagonal by diagonal, at
+every ``N``; any other order builds the dense blocks from strided views of the
+tables.  ``MassMatrix.banded`` is that rule, and ``eig`` picks its LAPACK
+drivers from it.  ``assemble_mass`` builds the tables once for both blocks and
+no block: a block is built when it is read, or by the solve on the thread that
+solves it.  It and ``mass_entry`` refuse, by name, an order whose largest
+entry ``M_00`` lies below the smallest normal double, so that every entry
+underflows.
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ class MassMatrix:
 
     def _block(self, p: int, dense: bool = False, out=None, rows=slice(None)) -> np.ndarray:
         """A new, writable block ``p``: a band where ``banded`` unless ``dense``, else ``rows``."""
-        indices = np.arange(p, self.n_max + 1, 2)
         if self.banded and not dense:
-            return _band_block(self.tables, int(self.order.alpha), indices)
-        return _dense_block(self.tables, indices, out, rows)
+            return _band_block(self.tables, int(self.order.alpha), p)
+        return _dense_block(self.tables, p, out, rows)
 
     @cached_property
     def even(self) -> np.ndarray:
@@ -126,62 +126,53 @@ def _entry_tables(alpha: float, m_max: int):
     return k, h, q, u
 
 
-def _entry_values(tables, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Entries ``K h_i h_j Q((i+j)/2) U(|j-i|/2)`` for broadcastable index arrays.
-
-    The indices are integers with even ``i + j``, within the ``tables`` of
-    ``_entry_tables``.  This serves ``mass_entry`` and the band of
-    integer-``alpha`` blocks; ``_dense_block`` takes the same factors in the
-    same order, so all three agree bit for bit.  Each table is a running
-    product, so a longer table holds the same bits on its common part.
-    """
-    k, h, q, u = tables
-    return k * (h[i] * h[j]) * q[(i + j) // 2] * u[np.abs(j - i) // 2]
-
-
 def mass_entry(order: FractionalOrder, i: int, j: int) -> float:
     """Closed-form mass entry; an exact 0 when ``i + j`` is odd.
 
-    An order at which every entry underflows is refused by name, as
-    ``assemble_mass`` refuses it.
+    Read from one ``_dense_block`` row of the smallest tables that hold it
+    (running products: a longer table has the same bits).  An order at which
+    every entry underflows is refused by name, as ``assemble_mass`` refuses it.
     """
     i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    tables = _entry_tables(order.alpha, max(i, j))  # the smallest matrix that holds the entry
+    tables = _entry_tables(order.alpha, max(i, j))
     if (i + j) % 2 == 1:
         return 0.0
-    return float(_entry_values(tables, np.array([i]), np.array([j]))[0])
+    return float(_dense_block(tables, i % 2, rows=slice(i // 2, i // 2 + 1))[0, j // 2])
 
 
-def _dense_block(tables, indices: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
-    """The ``rows`` of the dense block on ``indices`` (one parity), as ``_entry_values`` gives them.
+def _dense_block(tables, p: int, out=None, rows=slice(None)) -> np.ndarray:
+    """The ``rows`` of the dense block ``p`` (degrees ``p::2``), written into ``out`` if given.
 
-    Within a block the sum term is a Hankel and the difference term a
-    Toeplitz matrix; both are strided views of the tables, sliced to the
-    rows, so nothing is gathered entry by entry.  Every factor is symmetric,
-    and so is the block, exactly.  The rows are written into ``out`` if given.
+    The sum term is a Hankel and the difference term a Toeplitz matrix, both
+    strided views of the tables sliced to the rows, so nothing is gathered;
+    every factor is symmetric, and so is the block, exactly.
     """
-    n = indices.size
+    k, h, q, u = tables
+    h = h[p::2]
+    n = h.size
     if n == 0:
         return np.zeros((0, 0))
-    k, h, q, u = tables
-    hankel = sliding_window_view(q[indices[0]:indices[0] + 2 * n - 1], n)[rows]
+    hankel = sliding_window_view(q[p:p + 2 * n - 1], n)[rows]
     toeplitz = sliding_window_view(np.concatenate((u[n - 1:0:-1], u[:n])), n)[::-1][rows]
-    block = np.outer(h[indices[rows]], h[indices], out=out)
+    block = np.outer(h[rows], h, out=out)
     block *= k
     block *= hankel
     block *= toeplitz
     return block
 
 
-def _band_block(tables, width: int, indices: np.ndarray) -> np.ndarray:
-    """Upper-band storage of the block on ``indices``, ``width`` superdiagonals at most."""
-    w = min(width, max(indices.size - 1, 0))
-    offset = np.arange(w, -1, -1)[:, None]  # the superdiagonal each storage row holds
-    col = np.arange(indices.size)
-    row = np.maximum(col - offset, 0)
-    return np.where(col >= offset, _entry_values(tables, indices[row], indices[col]), 0.0)
+def _band_block(tables, width: int, p: int) -> np.ndarray:
+    """Block ``p`` in upper-band storage, ``width`` superdiagonals at most, built by diagonals."""
+    k, h, q, u = tables
+    h = h[p::2]
+    n = h.size
+    w = min(width, max(n - 1, 0))
+    band = np.zeros((w + 1, n))  # the corner left of each diagonal stays +0.0
+    for d in range(w + 1):  # _dense_block's factors in its order, so its bits
+        band[w - d, d:] = k * (h[:n - d] * h[d:]) * q[p + d::2][:n - d] * u[d]
+    return band
 
 
 def assemble_mass(order: FractionalOrder, n_max: int) -> MassMatrix:

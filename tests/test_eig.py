@@ -86,7 +86,7 @@ def _reference_merge(order, n_max, banded=False):
             continue
         with riesz_eig.eig._one_blas_thread():  # the count the solve's drivers run at
             if banded:
-                band = _band_block(_entry_tables(order.alpha, n_max), int(order.alpha), indices)
+                band = _band_block(_entry_tables(order.alpha, n_max), int(order.alpha), rank)
                 values = riesz_eig.eig._sbevd(band, vectors=False)
                 mu, vecs = riesz_eig.eig._sbevd(band, vectors=True)
             else:
