@@ -212,9 +212,10 @@ def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
 
     Row ``i`` is formatted from row ``i // 2`` of the dense parity block
     ``i % 2``, and its other cells are the exact zeros between the blocks.
-    Both blocks are built from ``mass.tables`` in step, 64 rows at a time, so
-    no block is held whole; only ``--verify-oracle`` builds whole blocks, to
-    print their largest deviation from the oracle's over the upper triangle.
+    Both blocks are built from ``mass.tables`` in step, 64 rows at a time, and
+    one such strip pair is held at a time; only ``--verify-oracle`` builds whole
+    blocks, to print their largest deviation from the oracle's over the upper
+    triangle.
     """
     mass = assemble_mass(args.order, args.n)
     if args.verify_oracle:
@@ -222,11 +223,15 @@ def cmd_mass(args: argparse.Namespace) -> Iterator[str]:
             np.max(np.triu(np.abs(mass._block(p, dense=True) - oracle)), initial=0.0)
             for p, oracle in enumerate(_normalized_gram(args.order, 2.0, args.n))
         )
-    strips = ((r, [mass._block(p, dense=True, rows=slice(r, r + 64)) for p in (0, 1)])
-              for r in range(0, args.n // 2 + 1, 64))
-    rows = ((i % 2, strip[i % 2][i // 2 - r], False) for r, strip in strips
-            for i in range(2 * r, min(2 * r + 128, args.n + 1)))
-    yield from _csv_lines([f"j{j}" for j in range(args.n + 1)], _parity_rows(rows, args.n + 1))
+
+    def rows():
+        for r in range(0, args.n // 2 + 1, 64):
+            strips = [mass._block(p, dense=True, rows=slice(r, r + 64)) for p in (0, 1)]
+            for i in range(2 * r, min(2 * r + 128, args.n + 1)):
+                yield i % 2, strips[i % 2][i // 2 - r].copy(), False  # a view would pin its strip
+            del strips  # before the next pair is built
+
+    yield from _csv_lines([f"j{j}" for j in range(args.n + 1)], _parity_rows(rows(), args.n + 1))
     if args.verify_oracle:
         sys.stderr.write(f"max_oracle_deviation = {_fmt(worst)}\n")
 

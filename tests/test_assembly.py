@@ -177,6 +177,8 @@ def scatter_band(band):
 @pytest.mark.parametrize("two_alpha, n_max", [
     *((two_alpha, n_max) for two_alpha in (2.0, 4.0, 6.0) for n_max in (0, 1, 2, 3, 24, 255)),
     (2.0, 1023), (2.0, 1024),
+    # widths of at least the block's rows, with signed underflowed zeros inside the band at 168
+    *((two_alpha, n_max) for two_alpha in (8.0, 168.0) for n_max in (0, 1, 2, 3, 24)),
 ])
 def test_banded_dense_views_equal_the_scattered_band(two_alpha, n_max):
     # the dense view is evaluated, not scattered from the band; it must still
@@ -224,12 +226,21 @@ def test_largest_entry_in_the_normal_range_assembles():
     assert mass.entries[0, 0] >= np.finfo(float).tiny
 
 
-def test_scalar_entry_matches_assembled_grid():
-    order = FractionalOrder(1.3)
+@pytest.mark.parametrize("two_alpha", [1.3, 4.0])
+def test_scalar_entry_matches_assembled_grid(two_alpha):
+    # bit for bit, with the sign of the +0.0 past the band of 2a = 4
+    order = FractionalOrder(two_alpha)
     mass = assemble_mass(order, 16)
     for i in range(17):
         for j in range(17):
-            assert mass.entries[i, j] == mass_entry(order, i, j)
+            entry = mass_entry(order, i, j)
+            assert mass.entries[i, j] == entry
+            assert np.signbit(mass.entries[i, j]) == np.signbit(entry)
+    mass = assemble_mass(order, 300)
+    for i, j in [(0, 300), (300, 0), (299, 1), (1, 299), (300, 300), (299, 299), (150, 152)]:
+        entry = mass_entry(order, i, j)
+        assert mass.entries[i, j] == entry
+        assert np.signbit(mass.entries[i, j]) == np.signbit(entry)
 
 
 # The closed form in 30-digit mpmath, straight from the gamma ratios (no
