@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from functools import lru_cache
@@ -226,21 +227,16 @@ def test_largest_entry_in_the_normal_range_assembles():
     assert mass.entries[0, 0] >= np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("two_alpha", [1.3, 4.0])
-def test_scalar_entry_matches_assembled_grid(two_alpha):
+def test_scalar_entry_matches_assembled_grid():
     # bit for bit, with the sign of the +0.0 past the band of 2a = 4
-    order = FractionalOrder(two_alpha)
-    mass = assemble_mass(order, 16)
-    for i in range(17):
-        for j in range(17):
-            entry = mass_entry(order, i, j)
-            assert mass.entries[i, j] == entry
-            assert np.signbit(mass.entries[i, j]) == np.signbit(entry)
-    mass = assemble_mass(order, 300)
-    for i, j in [(0, 300), (300, 0), (299, 1), (1, 299), (300, 300), (299, 299), (150, 152)]:
-        entry = mass_entry(order, i, j)
-        assert mass.entries[i, j] == entry
-        assert np.signbit(mass.entries[i, j]) == np.signbit(entry)
+    pairs = [(0, 300), (300, 0), (299, 1), (1, 299), (300, 300), (299, 299), (150, 152)]
+    for order in (FractionalOrder(1.3), FractionalOrder(4.0)):
+        for n_max, grid in ((16, itertools.product(range(17), repeat=2)), (300, pairs)):
+            entries = assemble_mass(order, n_max).entries
+            for i, j in grid:
+                entry = mass_entry(order, i, j)
+                assert entries[i, j] == entry
+                assert np.signbit(entries[i, j]) == np.signbit(entry)
 
 
 # The closed form in 30-digit mpmath, straight from the gamma ratios (no
